@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz differential sat-diff cube-diff overapprox-diff chaos bench serve-smoke session-smoke pool-smoke
+.PHONY: check fmt vet build test race fuzz differential sat-diff cube-diff overapprox-diff chaos cancel bench serve-smoke session-smoke pool-smoke
 
 # check is the CI gate: static checks, build, the full suite under the
 # race detector, short fuzz passes over the SMT-LIB parser and the server
 # request decoder, the incremental-vs-fresh refinement differential under
-# -race, the cube-and-conquer differential, the short chaos gate, and
-# end-to-end smokes of the staub-serve binary (one-shot solves, the
-# stateful session tier, and the peer pool's node-kill drill).
-check: fmt vet build race fuzz differential sat-diff cube-diff overapprox-diff chaos serve-smoke session-smoke pool-smoke
+# -race, the cube-and-conquer differential, the short chaos gate, the
+# portfolio cancellation tests, and end-to-end smokes of the staub-serve
+# binary (one-shot solves, the stateful session tier, and the peer pool's
+# node-kill drill).
+check: fmt vet build race fuzz differential sat-diff cube-diff overapprox-diff chaos cancel serve-smoke session-smoke pool-smoke
 
 # fmt fails if any file is not gofmt-clean, and prints the offenders.
 fmt:
@@ -76,6 +77,16 @@ overapprox-diff:
 # the rest of the tests via `race`.
 chaos:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos
+
+# cancel is the portfolio cancellation gate: every layer on a leg's path
+# (FP search, integer and real search, bit-blast encoding, SAT
+# preprocessing) must stop within about one unit of work once its
+# interrupt is set, and a portfolio's losing STAUB leg must stop when the
+# unbounded leg wins — three runs each under the race detector.
+cancel:
+	$(GO) test -race -count=3 -run 'TestInterrupted|TestPortfolioLosersStopOnWin|TestCubeInterrupt' \
+		./internal/fpsolver ./internal/intsolver ./internal/realsolver \
+		./internal/bitblast ./internal/sat ./internal/cube ./internal/core
 
 # serve-smoke boots the real staub-serve on a random port, solves a
 # testdata constraint over HTTP, scrapes /metrics, and asserts a clean

@@ -10,6 +10,7 @@
 package bitblast
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -70,12 +71,26 @@ func New(s *sat.Solver) *Blaster {
 
 func (b *Blaster) fLit() sat.Lit { return b.tLit.Not() }
 
+// ErrInterrupted is Encode's error when the solver's interrupt fired
+// mid-encoding. The encoding is then partial and the solver must not be
+// solved; callers report the solve as timed out (Unknown), never as an
+// encoding failure.
+var ErrInterrupted = errors.New("bitblast: interrupted")
+
 // Encode adds the CNF encoding of every assertion in c to the solver. In
 // session mode, constraint variables resolve to the session's persistent
 // per-name bit vectors (extended with fresh high bits when the width
 // grew) and every assertion clause carries the round's activation guard.
+//
+// Outside session mode Encode polls the solver's interrupt on entry and
+// once per term it encodes, and returns ErrInterrupted when it fires. A
+// session round always encodes completely, since later rounds build on
+// its gates.
 func (b *Blaster) Encode(c *smt.Constraint) error {
 	b.c = c
+	if b.interrupted() {
+		return ErrInterrupted
+	}
 	for _, v := range c.Vars {
 		switch v.Sort.Kind {
 		case smt.KindBool:
@@ -155,6 +170,9 @@ func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Ass
 	}
 	bl := New(s)
 	if err := bl.Encode(c); err != nil {
+		if errors.Is(err, ErrInterrupted) {
+			return sat.Unknown, nil, nil
+		}
 		return sat.Unknown, nil, err
 	}
 	// One-shot solve: nothing is added or assumed after this point, so
@@ -167,6 +185,9 @@ func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Ass
 	// variance. Callers who want BVE can run s.Preprocess themselves via
 	// configure before Encode adds clauses, or on a solver they own.
 	s.Preprocess(sat.PreprocessOptions{})
+	if s.Interrupted() {
+		return sat.Unknown, nil, nil
+	}
 	st := s.Solve()
 	if st != sat.Sat {
 		return st, nil, nil
@@ -604,10 +625,16 @@ func (b *Blaster) shiftVec(x, amt []sat.Lit, dir int) []sat.Lit {
 	return b.muxVec(over, full, cur)
 }
 
+// interrupted is Encode's per-term interrupt poll (one-shot mode only).
+func (b *Blaster) interrupted() bool { return b.sess == nil && b.s.Interrupted() }
+
 // boolTerm encodes a boolean term and returns its literal.
 func (b *Blaster) boolTerm(t *smt.Term) (sat.Lit, error) {
 	if l, ok := b.bools[t]; ok {
 		return l, nil
+	}
+	if b.interrupted() {
+		return 0, ErrInterrupted
 	}
 	l, err := b.boolTermUncached(t)
 	if err != nil {
@@ -803,6 +830,9 @@ func (b *Blaster) overflow(t *smt.Term) (sat.Lit, error) {
 func (b *Blaster) bvTerm(t *smt.Term) ([]sat.Lit, error) {
 	if v, ok := b.bits[t]; ok {
 		return v, nil
+	}
+	if b.interrupted() {
+		return nil, ErrInterrupted
 	}
 	v, err := b.bvTermUncached(t)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"staub/internal/bv"
@@ -317,4 +318,43 @@ func ExampleSolve() {
 	vv := new(big.Int).Mul(v, v)
 	fmt.Println(st, new(big.Int).Mod(vv, big.NewInt(256)))
 	// Output: sat 49
+}
+
+// TestInterruptedSolveDoesNoWork starts Solve with the interrupt already
+// set: it must report Unknown without an error, having encoded nothing
+// (so there is nothing to preprocess) and propagated nothing beyond the
+// constant-true unit New adds. The uninterrupted control run shows the
+// same constraint does real work.
+func TestInterruptedSolveDoesNoWork(t *testing.T) {
+	c := smt.NewConstraint("QF_BV")
+	b := c.Builder
+	x := c.MustDeclare("x", smt.BitVecSort(16))
+	y := c.MustDeclare("y", smt.BitVecSort(16))
+	c.MustAssert(b.Not(b.MustApply(smt.OpBVSMulO, x, y)))
+	c.MustAssert(b.Eq(b.MustApply(smt.OpBVMul, x, y), b.BV(big.NewInt(7917), 16)))
+	c.MustAssert(b.MustApply(smt.OpBVSGt, x, b.BV(big.NewInt(1), 16)))
+
+	run := func(stop *atomic.Bool) (sat.Status, error, *sat.Solver) {
+		var s *sat.Solver
+		st, _, err := Solve(c, func(sv *sat.Solver) {
+			s = sv
+			sv.SetInterrupt(stop)
+		})
+		return st, err, s
+	}
+	empty := sat.New()
+	New(empty)
+	var stop atomic.Bool
+	stop.Store(true)
+	st, err, s := run(&stop)
+	if st != sat.Unknown || err != nil {
+		t.Fatalf("interrupted Solve = %v, %v; want Unknown with no error", st, err)
+	}
+	if s.NumClauses() != 0 || s.NumVars() != empty.NumVars() || s.Stats != empty.Stats {
+		t.Fatalf("interrupted Solve left %d clauses over %d vars, stats %+v; want the empty encoding's %d vars, stats %+v",
+			s.NumClauses(), s.NumVars(), s.Stats, empty.NumVars(), empty.Stats)
+	}
+	if st, err, s := run(new(atomic.Bool)); st != sat.Sat || err != nil || s.Stats.Propagations <= empty.Stats.Propagations {
+		t.Fatalf("uninterrupted Solve = %v, %v after %d propagations; want Sat", st, err, s.Stats.Propagations)
+	}
 }

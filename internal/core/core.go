@@ -136,21 +136,28 @@ type PortfolioResult struct {
 	Degraded bool
 }
 
-// Package-level portfolio fault counters, exported through
+// Package-level portfolio counters, exported through
 // RegisterPortfolioMetrics.
 var (
 	portfolioRuns     metrics.Counter
 	portfolioDegraded metrics.Counter
 	portfolioPanics   metrics.Counter
+	// portfolioCancelWait is the time from the first definitive leg to
+	// the return of the last leg: how long the losing legs took to stop.
+	portfolioCancelWait = metrics.NewHistogram(
+		100*time.Microsecond, time.Millisecond, 10*time.Millisecond,
+		100*time.Millisecond, time.Second, 10*time.Second)
 )
 
-// RegisterPortfolioMetrics exposes the portfolio race counters through
+// RegisterPortfolioMetrics exposes the portfolio race metrics through
 // reg: total races, races that degraded to the unbounded leg after a
-// contained STAUB-leg fault, and recovered leg panics.
+// contained STAUB-leg fault, recovered leg panics, and the cancel-wait
+// histogram (first definitive leg to last leg returned).
 func RegisterPortfolioMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("staub_portfolio_runs_total", nil, &portfolioRuns)
 	reg.RegisterCounter("staub_portfolio_degraded_total", nil, &portfolioDegraded)
 	reg.RegisterCounter("staub_portfolio_leg_panics_total", nil, &portfolioPanics)
+	reg.RegisterHistogram("staub_portfolio_cancel_wait_seconds", nil, portfolioCancelWait)
 }
 
 // PortfolioMetricsSnapshot reports the portfolio counters (runs,
@@ -165,9 +172,12 @@ func PortfolioMetricsSnapshot() map[string]int64 {
 
 // RunPortfolio races the original constraint (unbounded solver) against
 // the STAUB pipeline, following the paper's portfolio methodology [68]:
-// the first definitive answer wins and cancels the other legs.
-// Cancelling the context aborts every leg. With Config.CubeVars set a
-// third leg joins the race — the STAUB pipeline with its bounded solve
+// the first definitive answer wins and sets every leg's interrupt flag.
+// RunPortfolio still waits for every leg to return, so the result can
+// report each leg; every layer on a leg's path polls its flag (see the
+// Portfolio note in DESIGN.md), so the losers return Unknown within
+// about one search node. Cancelling the context aborts every leg. With
+// Config.CubeVars set a third leg joins the race — the STAUB pipeline with its bounded solve
 // replaced by cube-and-conquer — next to the sequential pipeline, so
 // cubing can only add a way to win, never slow the baseline race down.
 // With Config.OverApprox set, an over-approximation leg joins too: it
@@ -303,6 +313,7 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 
 	var out PortfolioResult
 	var seqPipe, cubePipe, overPipe PipelineResult
+	var won time.Time
 	out.Status = status.Unknown
 	for i := 0; i < legs; i++ {
 		l := <-results
@@ -322,7 +333,11 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 			out.FromOver = l.fromOver
 			// Cancel the other legs.
 			cancelAll()
+			won = time.Now()
 		}
+	}
+	if !won.IsZero() {
+		portfolioCancelWait.Observe(time.Since(won))
 	}
 	wg.Wait()
 	out.Pipeline = seqPipe

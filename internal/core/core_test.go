@@ -347,3 +347,43 @@ func TestPipelineSpeedsUpHardNonlinear(t *testing.T) {
 		t.Errorf("expected STAUB (%v) to beat the unbounded solver (%v)", pipe.Total, origTime)
 	}
 }
+
+// TestPortfolioLosersStopOnWin races an NRA instance the unbounded leg
+// decides at once, while the sequential STAUB leg's exhaustive FP search
+// would need hundreds of thousands of nodes (its model, x = 3, sits deep
+// in magnitude order). Once the unbounded leg wins, the STAUB leg must
+// stop: its solve work must be a small fraction of the deterministic
+// budget its timeout buys. The race runs in wall-clock mode, so the
+// interrupt, not a node budget, is what ends the losing leg; a search
+// that polled it only every few hundred nodes would spend about half the
+// budget before noticing.
+func TestPortfolioLosersStopOnWin(t *testing.T) {
+	c := parse(t, `
+		(declare-fun x () Real)
+		(assert (= (* x x) 9.0))
+		(assert (> x 0.0))
+		(check-sat)`)
+	const timeout = 200 * time.Millisecond
+	direct := solver.Solve(c, solver.Options{Deadline: time.Now().Add(timeout)})
+	if direct.Status != status.Sat {
+		t.Fatalf("direct solve = %v, want sat", direct.Status)
+	}
+	waits := portfolioCancelWait.Count()
+	res := RunPortfolio(context.Background(), c, Config{Timeout: timeout})
+	if res.Status != direct.Status {
+		t.Fatalf("portfolio = %v, direct solve = %v", res.Status, direct.Status)
+	}
+	if res.FromSTAUB {
+		t.Skip("the STAUB leg won the race; nothing lost to cancel")
+	}
+	budget := solver.WorkBudgetFor(timeout)
+	if work := res.Pipeline.SolveWork; work > budget/4 {
+		t.Fatalf("losing STAUB leg spent %d work units, want ≤ 1/4 of its %d budget", work, budget)
+	}
+	if res.Pipeline.Status != status.Unknown {
+		t.Errorf("losing STAUB leg = %v, want unknown (interrupted)", res.Pipeline.Status)
+	}
+	if got := portfolioCancelWait.Count() - waits; got != 1 {
+		t.Errorf("cancel-wait histogram took %d observations, want 1", got)
+	}
+}

@@ -26,6 +26,7 @@
 package cube
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -152,6 +153,7 @@ func Solve(c *smt.Constraint, o Options) Result {
 	if err := bl.Encode(c); err != nil {
 		res.Status = status.Unknown
 		res.Work = 1
+		res.TimedOut = errors.Is(err, bitblast.ErrInterrupted)
 		return res
 	}
 	base.Preprocess(sat.PreprocessOptions{})

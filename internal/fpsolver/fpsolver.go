@@ -66,6 +66,19 @@ type solver struct {
 	timedOut bool
 }
 
+// interrupted polls the interrupt flag (one atomic load) and records a
+// hit as a timeout, so an interrupted search ends Unknown.
+func (s *solver) interrupted() bool {
+	if s.params.Interrupt != nil && s.params.Interrupt.Load() {
+		s.timedOut = true
+	}
+	return s.timedOut
+}
+
+// checkBudget counts one search node and reports whether the search may
+// go on. Every node polls the interrupt (a local-search node is a full
+// big-number cost evaluation, so a race that was lost stops within one
+// node); the wall clock is read only every 512 nodes.
 func (s *solver) checkBudget() bool {
 	if s.timedOut {
 		return false
@@ -75,15 +88,12 @@ func (s *solver) checkBudget() bool {
 		s.timedOut = true
 		return false
 	}
-	if s.nodes%512 == 0 {
-		if !s.params.Deadline.IsZero() && time.Now().After(s.params.Deadline) {
-			s.timedOut = true
-			return false
-		}
-		if s.params.Interrupt != nil && s.params.Interrupt.Load() {
-			s.timedOut = true
-			return false
-		}
+	if s.interrupted() {
+		return false
+	}
+	if s.nodes%512 == 0 && !s.params.Deadline.IsZero() && time.Now().After(s.params.Deadline) {
+		s.timedOut = true
+		return false
 	}
 	return true
 }
@@ -106,6 +116,9 @@ func Solve(c *smt.Constraint, p Params) (status.Status, eval.Assignment, Stats) 
 		// The translator never emits boolean variables alongside floats in
 		// practice; treat their presence as out of fragment.
 		return status.Unknown, nil, Stats{}
+	}
+	if s.interrupted() {
+		return status.Unknown, nil, Stats{TimedOut: true}
 	}
 
 	// Space size: product of 2^(total bits) per variable.
@@ -144,25 +157,67 @@ func (s *solver) assertionIndex() [][]*smt.Term {
 	return out
 }
 
-// candidates returns every bit pattern of the sort ordered small-magnitude
-// first (positive then negative per magnitude), excluding NaN and
-// infinities (which the translation guards off).
-func candidates(sort smt.Sort) []fp.Value {
+// candPoll is how many bit patterns a candidate stream examines between
+// interrupt polls.
+const candPoll = 1024
+
+// candStream enumerates one variable's candidates lazily, in Candidates
+// order, skipping patterns outside the variable's unit bounds. The
+// exhaustive DFS usually stops (on a model or its node budget) long
+// before a sort's full pattern space, so values are materialized only
+// as far as the search reaches; the kept prefix is reused when an outer
+// level re-enters this variable.
+type candStream struct {
+	f        fp.Format
+	fracBits uint
+	expMax   int // the all-ones exponent field (NaN/∞)
+	half     int // the sign bit
+	next     int // next pattern index: magnitude next>>1, sign next&1
+	lo, hi   *big.Rat
+	vals     []fp.Value
+}
+
+func newCandStream(sort smt.Sort, bounds [2]*big.Rat) *candStream {
 	f := smt.FPFormat(sort)
-	total := f.TotalBits()
-	half := 1 << (total - 1)
-	out := make([]fp.Value, 0, 1<<total)
-	for m := 0; m < half; m++ {
-		posV := fp.FromBits(f, big.NewInt(int64(m)))
-		if posV.IsFinite() {
-			out = append(out, posV)
-		}
-		negV := fp.FromBits(f, big.NewInt(int64(m|half)))
-		if negV.IsFinite() {
-			out = append(out, negV)
-		}
+	return &candStream{
+		f:        f,
+		fracBits: uint(f.SB - 1),
+		expMax:   1<<f.EB - 1,
+		half:     1 << (f.TotalBits() - 1),
+		lo:       bounds[0],
+		hi:       bounds[1],
 	}
-	return out
+}
+
+// at returns the i-th kept candidate, extending the stream as needed; ok
+// is false past the last one. With s non-nil the scan polls s's
+// interrupt every candPoll patterns and ends early when it fires.
+func (c *candStream) at(i int, s *solver) (fp.Value, bool) {
+	for len(c.vals) <= i {
+		if c.next >= 2*c.half {
+			return fp.Value{}, false
+		}
+		if s != nil && c.next%candPoll == 0 && s.interrupted() {
+			return fp.Value{}, false
+		}
+		bits := c.next >> 1
+		if c.next&1 == 1 {
+			bits |= c.half
+		}
+		c.next++
+		if (bits>>c.fracBits)&c.expMax == c.expMax {
+			continue // NaN or infinity
+		}
+		v := fp.FromBits(c.f, big.NewInt(int64(bits)))
+		if c.lo != nil || c.hi != nil {
+			r, _ := v.Rat()
+			if c.lo != nil && r.Cmp(c.lo) < 0 || c.hi != nil && r.Cmp(c.hi) > 0 {
+				continue
+			}
+		}
+		c.vals = append(c.vals, v)
+	}
+	return c.vals[i], true
 }
 
 // unitBounds scans top-level assertions of the shape (op var const) or
@@ -230,23 +285,9 @@ func (s *solver) exhaustive() (status.Status, eval.Assignment) {
 		return status.Sat, m
 	}
 	bounds := s.unitBounds()
-	cands := make([][]fp.Value, len(s.fpVars))
+	cands := make([]*candStream, len(s.fpVars))
 	for i, v := range s.fpVars {
-		cands[i] = candidates(v.Sort)
-		if b, ok := bounds[v.Name]; ok {
-			kept := cands[i][:0:0]
-			for _, cand := range cands[i] {
-				r, _ := cand.Rat()
-				if b[0] != nil && r.Cmp(b[0]) < 0 {
-					continue
-				}
-				if b[1] != nil && r.Cmp(b[1]) > 0 {
-					continue
-				}
-				kept = append(kept, cand)
-			}
-			cands[i] = kept
-		}
+		cands[i] = newCandStream(v.Sort, bounds[v.Name])
 	}
 	index := s.assertionIndex()
 	asg := eval.Assignment{}
@@ -260,12 +301,19 @@ func (s *solver) exhaustive() (status.Status, eval.Assignment) {
 	return status.Unsat, nil
 }
 
-func (s *solver) dfs(i int, cands [][]fp.Value, index [][]*smt.Term, asg eval.Assignment) status.Status {
+func (s *solver) dfs(i int, cands []*candStream, index [][]*smt.Term, asg eval.Assignment) status.Status {
 	if i == len(s.fpVars) {
 		return status.Sat
 	}
 	name := s.fpVars[i].Name
-	for _, cand := range cands[i] {
+	for k := 0; ; k++ {
+		cand, more := cands[i].at(k, s)
+		if !more {
+			if s.timedOut {
+				return status.Unknown
+			}
+			break
+		}
 		if !s.checkBudget() {
 			return status.Unknown
 		}
@@ -465,10 +513,29 @@ func (s *solver) termCost(t *smt.Term, asg eval.Assignment) float64 {
 }
 
 // SortCandidateCount reports how many finite patterns a sort has — used by
-// callers to predict whether exhaustive solving applies.
+// callers to predict whether exhaustive solving applies. It is 2^total
+// minus the 2^sb patterns with an all-ones exponent (NaN and ±∞),
+// saturating at math.MaxInt for sorts of 63 bits or more.
 func SortCandidateCount(s smt.Sort) int {
-	return len(candidates(s))
+	f := smt.FPFormat(s)
+	if f.TotalBits() >= 63 {
+		return math.MaxInt
+	}
+	return 1<<f.TotalBits() - 1<<f.SB
 }
 
-// Candidates is exported for tests: the ordered candidate list of a sort.
-func Candidates(s smt.Sort) []fp.Value { return candidates(s) }
+// Candidates returns every bit pattern of the sort ordered small-magnitude
+// first (positive then negative per magnitude), excluding NaN and
+// infinities (which the translation guards off). The exhaustive search
+// streams this order lazily; the full list is for tests.
+func Candidates(s smt.Sort) []fp.Value {
+	c := newCandStream(s, [2]*big.Rat{})
+	var out []fp.Value
+	for i := 0; ; i++ {
+		v, ok := c.at(i, nil)
+		if !ok {
+			return out
+		}
+		out = append(out, v)
+	}
+}

@@ -1,7 +1,9 @@
 package fpsolver
 
 import (
+	"math"
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,5 +177,115 @@ func TestCandidatesOrdering(t *testing.T) {
 	}
 	if got := SortCandidateCount(sort); got != len(cands) {
 		t.Errorf("SortCandidateCount = %d, want %d", got, len(cands))
+	}
+	// The lazy stream and the closed-form count must match a plain
+	// enumeration of every bit pattern, positive before negative per
+	// magnitude.
+	for _, sort := range []smt.Sort{smt.FloatSort(2, 2), smt.FloatSort(3, 4), smt.FloatSort(4, 6), smt.FloatSort(5, 3)} {
+		f := smt.FPFormat(sort)
+		half := int64(1) << (f.TotalBits() - 1)
+		var want []fp.Value
+		for m := int64(0); m < half; m++ {
+			for _, bits := range []int64{m, m | half} {
+				if v := fp.FromBits(f, big.NewInt(bits)); v.IsFinite() {
+					want = append(want, v)
+				}
+			}
+		}
+		got := Candidates(sort)
+		if len(got) != len(want) || SortCandidateCount(sort) != len(want) {
+			t.Fatalf("%v: %d candidates, count %d, want %d", sort, len(got), SortCandidateCount(sort), len(want))
+		}
+		for i := range want {
+			if got[i].Bits().Cmp(want[i].Bits()) != 0 {
+				t.Fatalf("%v: candidate %d = %v, want %v", sort, i, got[i], want[i])
+			}
+		}
+	}
+	if got := SortCandidateCount(smt.Float64Sort); got != math.MaxInt {
+		t.Errorf("SortCandidateCount(Float64) = %d, want saturation at MaxInt", got)
+	}
+}
+
+// TestBoundedStreamMatchesFilter checks that filtering by unit bounds
+// while streaming keeps exactly the candidates the bounds admit, in order.
+func TestBoundedStreamMatchesFilter(t *testing.T) {
+	sort := smt.FloatSort(4, 6)
+	lo, hi := big.NewRat(-3, 2), big.NewRat(5, 1)
+	var want []fp.Value
+	for _, v := range Candidates(sort) {
+		if r, _ := v.Rat(); r.Cmp(lo) >= 0 && r.Cmp(hi) <= 0 {
+			want = append(want, v)
+		}
+	}
+	c := newCandStream(sort, [2]*big.Rat{lo, hi})
+	for i, w := range want {
+		v, ok := c.at(i, nil)
+		if !ok || v.Bits().Cmp(w.Bits()) != 0 {
+			t.Fatalf("candidate %d = %v (ok=%t), want %v", i, v, ok, w)
+		}
+	}
+	if _, ok := c.at(len(want), nil); ok {
+		t.Fatalf("stream yields more than the %d admitted candidates", len(want))
+	}
+}
+
+// float16Pair is a two-variable Float16 constraint: far too large for a
+// search to finish, so only the interrupt can end it early.
+func float16Pair(t *testing.T) *smt.Constraint {
+	t.Helper()
+	sort := smt.Float16Sort
+	c := smt.NewConstraint("QF_FP")
+	b := c.Builder
+	x := c.MustDeclare("x", sort)
+	y := c.MustDeclare("y", sort)
+	prod := b.MustApply(smt.OpFPMul, x, y)
+	c.MustAssert(b.MustApply(smt.OpFPEq, prod, fpConst(t, c, sort, 7919, 1)))
+	c.MustAssert(b.MustApply(smt.OpFPGt, x, fpConst(t, c, sort, 1, 1)))
+	return c
+}
+
+// TestInterruptedSolveDoesNoWork starts Solve with the interrupt already
+// set, on both search paths: it must return Unknown/TimedOut after at
+// most one node and allocate far less than one Float16 candidate table.
+func TestInterruptedSolveDoesNoWork(t *testing.T) {
+	c := float16Pair(t)
+	var stop atomic.Bool
+	stop.Store(true)
+	table := SortCandidateCount(smt.Float16Sort)
+	for _, tc := range []struct {
+		name  string
+		limit float64
+	}{
+		{"exhaustive", 1 << 40},
+		{"local-search", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Params{Interrupt: &stop, ExhaustiveLimit: tc.limit, NodeBudget: 1 << 30}
+			st, m, stats := Solve(c, p)
+			if st != status.Unknown || m != nil || !stats.TimedOut || stats.Nodes > 1 {
+				t.Fatalf("Solve = %v (model %v), stats %+v; want Unknown, TimedOut, ≤ 1 node", st, m, stats)
+			}
+			allocs := testing.AllocsPerRun(5, func() { Solve(c, p) })
+			if allocs > float64(table)/100 {
+				t.Fatalf("interrupted Solve allocates %.0f times; one candidate table is %d values", allocs, table)
+			}
+		})
+	}
+}
+
+// TestInterruptedExhaustiveStopsInStream drives the exhaustive search
+// past Solve's entry check: with the interrupt set, the candidate stream
+// stops at its first poll, before any node or candidate is built.
+func TestInterruptedExhaustiveStopsInStream(t *testing.T) {
+	c := float16Pair(t)
+	var stop atomic.Bool
+	stop.Store(true)
+	s := &solver{c: c, params: Params{Interrupt: &stop}.withDefaults()}
+	s.fpVars = c.Vars
+	st, m := s.exhaustive()
+	if st != status.Unknown || m != nil || !s.timedOut || s.nodes != 0 {
+		t.Fatalf("exhaustive = %v (model %v), timedOut=%t nodes=%d; want Unknown, timed out, 0 nodes",
+			st, m, s.timedOut, s.nodes)
 	}
 }

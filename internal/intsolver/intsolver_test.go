@@ -2,6 +2,7 @@ package intsolver
 
 import (
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,5 +228,23 @@ func TestBooleanStructureIte(t *testing.T) {
 	}
 	if m["x"].Int.Int64() != 4 {
 		t.Errorf("x = %v, want 4", m["x"].Int)
+	}
+}
+
+// TestInterruptedSolveDoesNoWork starts Solve with the interrupt already
+// set: the first search node must notice it, so the solve ends
+// Unknown/TimedOut after at most one node.
+func TestInterruptedSolveDoesNoWork(t *testing.T) {
+	c := parse(t, `
+		(declare-fun x () Int)
+		(declare-fun y () Int)
+		(declare-fun z () Int)
+		(assert (= (+ (* x x x) (* y y y) (* z z z)) 855))
+		(check-sat)`)
+	var stop atomic.Bool
+	stop.Store(true)
+	st, m, stats := Solve(c, Params{Interrupt: &stop})
+	if st != status.Unknown || m != nil || !stats.TimedOut || stats.Nodes > 1 {
+		t.Fatalf("Solve = %v (model %v), stats %+v; want Unknown, TimedOut, ≤ 1 node", st, m, stats)
 	}
 }

@@ -82,15 +82,15 @@ func (st *searchState) spend(n int64) bool {
 		st.timedOut = true
 		return false
 	}
-	if st.nodes%256 < n {
-		if !st.params.Deadline.IsZero() && time.Now().After(st.params.Deadline) {
-			st.timedOut = true
-			return false
-		}
-		if st.params.Interrupt != nil && st.params.Interrupt.Load() {
-			st.timedOut = true
-			return false
-		}
+	// The interrupt is polled on every call (one atomic load; a node can
+	// be a whole simplex check), the wall clock only every 256 nodes.
+	if st.params.Interrupt != nil && st.params.Interrupt.Load() {
+		st.timedOut = true
+		return false
+	}
+	if st.nodes%256 < n && !st.params.Deadline.IsZero() && time.Now().After(st.params.Deadline) {
+		st.timedOut = true
+		return false
 	}
 	return true
 }

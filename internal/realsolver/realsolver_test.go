@@ -2,6 +2,7 @@ package realsolver
 
 import (
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,5 +150,26 @@ func TestDisjunctionOverReals(t *testing.T) {
 	}
 	if m["x"].Rat.Cmp(big.NewRat(5, 1)) <= 0 {
 		t.Errorf("x = %v, want > 5", m["x"].Rat)
+	}
+}
+
+// TestInterruptedSolveDoesNoWork starts Solve with the interrupt already
+// set: the first search node must notice it, so the solve ends
+// Unknown/TimedOut after at most one node.
+func TestInterruptedSolveDoesNoWork(t *testing.T) {
+	c, err := smt.ParseScript(`
+		(declare-fun x () Real)
+		(declare-fun y () Real)
+		(assert (= (* x x y) 2))
+		(assert (> (+ x y) 3))
+		(check-sat)`)
+	if err != nil {
+		t.Fatalf("ParseScript: %v", err)
+	}
+	var stop atomic.Bool
+	stop.Store(true)
+	st, m, stats := Solve(c, Params{Interrupt: &stop})
+	if st != status.Unknown || m != nil || !stats.TimedOut || stats.Nodes > 1 {
+		t.Fatalf("Solve = %v (model %v), stats %+v; want Unknown, TimedOut, ≤ 1 node", st, m, stats)
 	}
 }

@@ -8,6 +8,8 @@ package sat
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"staub/internal/sat/satlegacy"
@@ -271,6 +273,57 @@ func TestSATDiffLegacyOracle(t *testing.T) {
 		}
 		if got := ls.Solve(); got.String() != want.String() {
 			t.Fatalf("iter %d: legacy Solve() = %v, oracle says %v", iter, got, want)
+		}
+	}
+}
+
+// TestInterruptedPreprocess checks Preprocess's interrupt polls. With
+// the flag set on entry it must change nothing; with the flag set by
+// another goroutine at an arbitrary point it may stop anywhere, and the
+// database it leaves must still agree with the brute-force oracle (and
+// reconstruct models through any eliminations it finished).
+func TestInterruptedPreprocess(t *testing.T) {
+	rng := rand.New(rand.NewSource(4711))
+	for iter := 0; iter < 200; iter++ {
+		nVars := 3 + rng.Intn(10)
+		clauses := randCNF(rng, nVars, 2+rng.Intn(40))
+		want := Unsat
+		if bruteForceSat(nVars, clauses) {
+			want = Sat
+		}
+		opts := PreprocessOptions{VarElim: true, MaxOccur: 6}
+
+		s := buildSolver(nVars, clauses)
+		before := s.NumClauses()
+		var stop atomic.Bool
+		stop.Store(true)
+		s.SetInterrupt(&stop)
+		s.Preprocess(opts)
+		if s.NumClauses() != before || s.Stats.Subsumed+s.Stats.Strengthened+s.Stats.Eliminated != 0 {
+			t.Fatalf("iter %d: Preprocess with the interrupt set changed the database: %d -> %d clauses, stats %+v",
+				iter, before, s.NumClauses(), s.Stats)
+		}
+
+		s = buildSolver(nVars, clauses)
+		var racing atomic.Bool
+		s.SetInterrupt(&racing)
+		delay := rng.Intn(50)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < delay; i++ {
+				runtime.Gosched()
+			}
+			racing.Store(true)
+		}()
+		s.Preprocess(opts)
+		<-done
+		s.SetInterrupt(nil)
+		if got := s.Solve(); got != want {
+			t.Fatalf("iter %d: Solve after an interrupted Preprocess = %v, oracle says %v", iter, got, want)
+		}
+		if want == Sat {
+			checkModel(t, "interrupted-preprocess", s, clauses)
 		}
 	}
 }

@@ -30,8 +30,12 @@ type SharedClause struct {
 func (s *Solver) Interrupt() { s.stop.Store(true) }
 
 // Interrupted reports whether Interrupt has been called since the last
-// SolveAssuming entry.
-func (s *Solver) Interrupted() bool { return s.stop.Load() }
+// SolveAssuming entry or the external flag installed by SetInterrupt is
+// set. It costs at most two atomic loads, so the layers that run outside
+// search — bit-blast encoding and preprocessing — can poll it.
+func (s *Solver) Interrupted() bool {
+	return s.stop.Load() || s.interrupted != nil && s.interrupted.Load()
+}
 
 // ImportClauses queues learned clauses from a sibling replica for this
 // solver to adopt. It is safe to call from any goroutine while the solver

@@ -109,8 +109,13 @@ type elimEntry struct {
 // pending assumptions do not survive it. It is idempotent and cheap on an
 // already-preprocessed database, which is what makes it usable as
 // per-round inprocessing in incremental sessions.
+//
+// Preprocess polls Interrupted before it starts, per queued clause in
+// subsumption and per candidate in elimination. An interrupt ends it
+// early with every step taken so far committed, so the database stays
+// equisatisfiable at any stopping point.
 func (s *Solver) Preprocess(opts PreprocessOptions) {
-	if !s.ok {
+	if !s.ok || s.Interrupted() {
 		return
 	}
 	if f := chaosAt(sitePreprocess); f != chaos.FaultNone && s.chaosPreprocess(f) {
@@ -196,7 +201,7 @@ func (p *preprocessor) push(i int) {
 }
 
 func (p *preprocessor) subsumeAll() {
-	for len(p.queue) > 0 && p.s.ok {
+	for len(p.queue) > 0 && p.s.ok && !p.s.Interrupted() {
 		i := p.queue[0]
 		p.queue = p.queue[1:]
 		p.inQ[i] = false
@@ -400,7 +405,7 @@ func (p *preprocessor) eliminate(opts PreprocessOptions) {
 		return cands[a].v < cands[b].v
 	})
 	for _, cd := range cands {
-		if !s.ok {
+		if !s.ok || s.Interrupted() {
 			return
 		}
 		v := cd.v

@@ -956,13 +956,7 @@ func (s *Solver) exhausted() bool {
 	if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
 		return true
 	}
-	if s.interrupted != nil && s.interrupted.Load() {
-		return true
-	}
-	if s.stop.Load() {
-		return true
-	}
-	return false
+	return s.Interrupted()
 }
 
 func (s *Solver) search(conflictBudget int64) Status {
