@@ -4,8 +4,8 @@ GO ?= go
 
 # check is the CI gate: static checks, build, the full suite under the
 # race detector, short fuzz passes over the SMT-LIB parser and the server
-# request decoder, the incremental-vs-fresh refinement differential under
-# -race, the cube-and-conquer differential, the short chaos gate, the
+# request decoder, the incremental-vs-fresh refinement and int64-vs-big.Rat
+# NIA kernel differentials under -race, the cube-and-conquer differential, the short chaos gate, the
 # portfolio cancellation tests, and end-to-end smokes of the staub-serve
 # binary (one-shot solves, the stateful session tier, and the peer pool's
 # node-kill drill).
@@ -39,11 +39,14 @@ fuzz:
 # per-round reference (same statuses, same widths) and the stateful
 # session tier to per-prefix fresh replay (byte-identical verdict
 # sequences across the incremental-script corpus, under default and
-# non-default refinement strategies) — all under the race detector.
+# non-default refinement strategies), and the unbounded NIA leg's int64
+# branch-and-prune kernel to its big.Rat reference (same status, node
+# count and model on every box) — all under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
+	$(GO) test -race -count=1 -run 'TestNonlinearKernelMatchesExact' ./internal/intsolver
 
 # sat-diff is the CDCL differential gate: random CNF instances against a
 # brute-force oracle across every solver configuration (clause-DB

@@ -104,7 +104,7 @@ func TestChaosPipelineEveryFaultClass(t *testing.T) {
 			restore := chaos.Enable(chaos.NewInjector(chaos.Config{
 				Seed: 42, Rate: 1, Fault: fc.fault,
 				Sites:    []string{"pass:" + pipeline.PassTranslate},
-				StallFor: 2 * time.Second, // well past the 250ms pass watchdog that must cut it short
+				StallFor: 2 * time.Second, // well past the 1s pass watchdog that must cut it short
 			}))
 			results := engine.New(0, nil).Run(context.Background(), jobs)
 			restore()

@@ -9,7 +9,9 @@
 // the budget expires. That cost profile — fast on small-solution
 // instances, increasingly slow as solutions grow, budget-bound on unsat —
 // is exactly the behaviour of unbounded solvers that STAUB's theory
-// arbitrage exploits.
+// arbitrage exploits. The nonlinear search runs on an int64 kernel
+// (kernel.go) that visits the same nodes as the big.Rat reference and
+// falls back to it wherever machine integers could overflow.
 package intsolver
 
 import (
@@ -246,30 +248,18 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 		return status.Sat, completeModel(c, nil)
 	}
 
-	// Initial box from single-variable linear atoms, integers rounded.
-	base := map[string]interval.Interval{}
-	for _, v := range vars {
-		base[v] = interval.Full()
-	}
-	contractUnitAtoms(cs, base)
-
-	// Refutation over the (possibly unbounded) initial box proves unsat.
-	for _, a := range cs {
-		if a.Refuted(base) {
-			return status.Unsat, nil
-		}
-	}
-
-	// An infeasible linear subset also refutes the case (solvers discharge
-	// this with their linear core before any nonlinear reasoning).
-	if linearSubsetUnsat(cs) {
+	base, refuted := rootBox(cs, vars)
+	if refuted {
 		return status.Unsat, nil
 	}
+	// The case compiles once; every box below searches on the int64
+	// kernel when it is eligible and on the big.Rat reference otherwise.
+	k := compileKernel(cs, vars)
 
 	// If every variable is already finitely bounded, one exhaustive
 	// branch-and-prune pass decides the case.
 	if boxBounded(base, vars) {
-		res, model := branchPrune(cs, vars, base, st)
+		res, model := searchBox(cs, vars, base, k, st)
 		if res == status.Sat {
 			return status.Sat, completeModel(c, model)
 		}
@@ -279,11 +269,7 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 	// Iterative deepening: intersect with [-r, r]^n for growing r. A sat
 	// answer is definitive; exhausting a radius only rules out that box.
 	for r := int64(2); r <= st.params.MaxRadius; r *= st.params.RadiusFactor {
-		box := map[string]interval.Interval{}
-		for _, v := range vars {
-			box[v] = base[v].Intersect(interval.Of(-r, r)).RoundIntoInts()
-		}
-		res, model := branchPrune(cs, vars, box, st)
+		res, model := searchBox(cs, vars, radiusBox(base, vars, r), k, st)
 		if res == status.Sat {
 			return status.Sat, completeModel(c, model)
 		}
@@ -292,6 +278,51 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 		}
 	}
 	return status.Unknown, nil
+}
+
+// rootBox returns the initial box of a nonlinear case — single-variable
+// linear atoms contracted in, integers rounded — and refuted=true when
+// root-level reasoning already proves the case unsat.
+func rootBox(cs poly.Case, vars []string) (box map[string]interval.Interval, refuted bool) {
+	box = map[string]interval.Interval{}
+	for _, v := range vars {
+		box[v] = interval.Full()
+	}
+	contractUnitAtoms(cs, box)
+
+	// Refutation over the (possibly unbounded) initial box proves unsat.
+	for _, a := range cs {
+		if a.Refuted(box) {
+			return nil, true
+		}
+	}
+
+	// An infeasible linear subset also refutes the case (solvers discharge
+	// this with their linear core before any nonlinear reasoning).
+	if linearSubsetUnsat(cs) {
+		return nil, true
+	}
+	return box, false
+}
+
+// radiusBox intersects base with [-r, r]^n, rounded into the integers.
+func radiusBox(base map[string]interval.Interval, vars []string, r int64) map[string]interval.Interval {
+	box := make(map[string]interval.Interval, len(vars))
+	for _, v := range vars {
+		box[v] = base[v].Intersect(interval.Of(-r, r)).RoundIntoInts()
+	}
+	return box
+}
+
+// searchBox decides one bounded box: on the int64 kernel when the case
+// compiled (k != nil), every bound is an integer within ±2^61 and per-node
+// pruning is off, on the big.Rat reference otherwise. Both visit the same
+// nodes in the same order and return the same verdict and model.
+func searchBox(cs poly.Case, vars []string, box map[string]interval.Interval, k *kernel, st *searchState) (status.Status, map[string]*big.Rat) {
+	if k != nil && !st.params.Prune && k.load(box) {
+		return k.branchPrune(st)
+	}
+	return branchPrune(cs, vars, box, st)
 }
 
 // linearSubsetUnsat reports whether the linear atoms of the case alone are

@@ -73,6 +73,29 @@ func TestWatchdogCancelsWedgedPass(t *testing.T) {
 	}
 }
 
+// TestDeterministicWatchdogFloor pins the transform-pass watchdog shares:
+// wall-clock runs keep Timeout/4 with a 25ms floor, while a deterministic
+// run, whose Timeout is a virtual budget, never gets less than its 1s
+// floor, so a pass slowed by CPU contention is not faulted.
+func TestDeterministicWatchdogFloor(t *testing.T) {
+	for _, tc := range []struct {
+		timeout       time.Duration
+		deterministic bool
+		want          time.Duration
+	}{
+		{40 * time.Millisecond, false, 25 * time.Millisecond},
+		{200 * time.Millisecond, false, 50 * time.Millisecond},
+		{40 * time.Millisecond, true, time.Second},
+		{time.Second, true, time.Second},
+		{8 * time.Second, true, 2 * time.Second},
+	} {
+		st := &State{Cfg: Config{Timeout: tc.timeout, Deterministic: tc.deterministic}}
+		if got := watchdogShare(st, PassTranslate); got != tc.want {
+			t.Errorf("timeout %v deterministic %t: share %v, want %v", tc.timeout, tc.deterministic, got, tc.want)
+		}
+	}
+}
+
 func TestWorkBudgetCeiling(t *testing.T) {
 	glutton := Pass{Name: "test-glutton", Run: func(st *State) Verdict {
 		st.SpanWork = 1 << 40
@@ -148,7 +171,7 @@ func TestChaosStallCancelledByWatchdog(t *testing.T) {
 	start := time.Now()
 	res := Run(context.Background(), c, Config{Timeout: 200 * time.Millisecond, Deterministic: true}, nil)
 	elapsed := time.Since(start)
-	// The watchdog share for a 200ms timeout is 50ms; the 30s stall cap
+	// The watchdog share of a deterministic 200ms run is its 1s floor; the 30s stall cap
 	// must never be what ends the stall.
 	if elapsed > 10*time.Second {
 		t.Fatalf("stalled pass ran %v; watchdog did not cancel it", elapsed)

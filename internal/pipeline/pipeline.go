@@ -483,6 +483,12 @@ func failFault(st *State, pass, fault string, err error) Verdict {
 // trigger); bounded-solve already runs under its own deadline and work
 // budget, so its watchdog is only an anti-stuck backstop a full timeout
 // beyond that deadline. A zero share disarms the watchdog.
+//
+// A deterministic run's Timeout is a virtual budget, not a wall-clock
+// allowance, so its transform passes get the larger deterministicShareFloor:
+// CPU contention (many workers on few cores) must never turn a pass that
+// is merely slow in wall time into a fault, or the run's outcome would
+// depend on the machine's load.
 func watchdogShare(st *State, pass string) time.Duration {
 	if pass == PassBoundedSolve || pass == PassCubeSolve {
 		if st.Deadline.IsZero() {
@@ -490,12 +496,21 @@ func watchdogShare(st *State, pass string) time.Duration {
 		}
 		return time.Until(st.Deadline) + st.Cfg.Timeout
 	}
+	floor := 25 * time.Millisecond
+	if st.Cfg.Deterministic {
+		floor = deterministicShareFloor
+	}
 	share := st.Cfg.Timeout / 4
-	if share < 25*time.Millisecond {
-		share = 25 * time.Millisecond
+	if share < floor {
+		share = floor
 	}
 	return share
 }
+
+// deterministicShareFloor is the transform-pass watchdog floor of a
+// deterministic run: far above any contended transform pass, still short
+// enough to cut a wedged pass well inside a test's patience.
+const deterministicShareFloor = time.Second
 
 // workCeiling is the per-pass work ceiling for cfg: several times the
 // whole run's deterministic work budget, so no legitimate pass can reach

@@ -291,7 +291,9 @@ type Solver struct {
 
 	Stats Stats
 
-	seen     []bool
+	seen []bool
+	// analyzeT is analyze's reusable learnt-clause buffer: the clause
+	// analyze returns lives in it until the next conflict.
 	analyzeT []Lit
 
 	// assumptions holds the literals of the current SolveAssuming call;
@@ -669,7 +671,7 @@ func (s *Solver) propagate() cref {
 func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 	pathC := 0
 	var p Lit = -1
-	learnt = append(learnt, 0) // reserve slot for the asserting literal
+	learnt = append(s.analyzeT[:0], 0) // reserve slot for the asserting literal
 	idx := len(s.trail) - 1
 
 	for {
@@ -718,20 +720,24 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 	learnt[0] = p.Not()
 
 	// Minimize: remove literals implied by the rest (cheap
-	// self-subsumption). learnt[:1:1] forces the appends below onto a
-	// fresh backing array so the original set stays intact for the
-	// redundancy checks.
-	minimized := learnt[:1:1]
-	for _, q := range learnt[1:] {
+	// self-subsumption). The redundancy checks read the seen flags, which
+	// stay set for the whole original set until the loop ends, so the
+	// partition can run in place: kept literals move to the front in
+	// their original order, dropped ones are swapped behind them.
+	kept := 1
+	for i := 1; i < len(learnt); i++ {
+		q := learnt[i]
 		r := s.vars[q.Var()].reason
-		if r == crefUndef || !s.redundant(q, r, learnt) {
-			minimized = append(minimized, q)
+		if r == crefUndef || !s.redundant(q, r) {
+			learnt[kept], learnt[i] = q, learnt[kept]
+			kept++
 		}
 	}
 	for _, q := range learnt {
 		s.seen[q.Var()] = false
 	}
-	learnt = minimized
+	s.analyzeT = learnt
+	learnt = learnt[:kept]
 
 	// Compute backtrack level: second-highest level in the clause.
 	backLevel = 0
@@ -750,7 +756,11 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 
 // redundant reports whether literal q's reason clause is subsumed by the
 // learnt set (all its other literals already appear or are level 0).
-func (s *Solver) redundant(q Lit, r cref, learnt []Lit) bool {
+// During minimisation seen[v] holds exactly for the variables of the
+// non-asserting learnt literals, and a false reason literal and a false
+// learnt literal on the same variable are the same literal, so the seen
+// flag is the membership test.
+func (s *Solver) redundant(q Lit, r cref) bool {
 	for _, l := range s.clsLits(r) {
 		if l == q.Not() {
 			continue
@@ -758,14 +768,7 @@ func (s *Solver) redundant(q Lit, r cref, learnt []Lit) bool {
 		if s.vars[l.Var()].level == 0 {
 			continue
 		}
-		found := false
-		for _, m := range learnt[1:] {
-			if m == l {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !s.seen[l.Var()] {
 			return false
 		}
 	}
