@@ -3,12 +3,13 @@ GO ?= go
 .PHONY: check fmt vet build test race fuzz differential sat-diff cube-diff overapprox-diff chaos cancel bench serve-smoke session-smoke pool-smoke
 
 # check is the CI gate: static checks, build, the full suite under the
-# race detector, short fuzz passes over the SMT-LIB parser and the server
-# request decoder, the incremental-vs-fresh refinement and int64-vs-big.Rat
-# NIA kernel differentials under -race, the cube-and-conquer differential, the short chaos gate, the
-# portfolio cancellation tests, and end-to-end smokes of the staub-serve
-# binary (one-shot solves, the stateful session tier, and the peer pool's
-# node-kill drill).
+# race detector, short fuzz passes over the SMT-LIB parser, the server
+# request decoder and the peer job decoder, the incremental-vs-fresh
+# refinement, int64-vs-big.Rat NIA kernel and incremental-vs-reference
+# simplex differentials under -race, the cube-and-conquer differential,
+# the short chaos gate, the portfolio cancellation tests, and end-to-end
+# smokes of the staub-serve binary (one-shot solves, the stateful session
+# tier, and the peer pool's node-kill drill).
 check: fmt vet build race fuzz differential sat-diff cube-diff overapprox-diff chaos cancel serve-smoke session-smoke pool-smoke
 
 # fmt fails if any file is not gofmt-clean, and prints the offenders.
@@ -34,19 +35,25 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSolveRequest -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDIMACS -fuzztime=5s ./internal/sat
 	$(GO) test -run='^$$' -fuzz=FuzzOverApproxPipeline -fuzztime=5s ./internal/overapprox
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePeerJob -fuzztime=5s ./internal/pool
 
 # differential pins the incremental refinement session to the fresh
 # per-round reference (same statuses, same widths) and the stateful
 # session tier to per-prefix fresh replay (byte-identical verdict
 # sequences across the incremental-script corpus, under default and
-# non-default refinement strategies), and the unbounded NIA leg's int64
+# non-default refinement strategies), the unbounded NIA leg's int64
 # branch-and-prune kernel to its big.Rat reference (same status, node
-# count and model on every box) — all under the race detector.
+# count and model on every box), and the incremental simplex to the
+# map-based big.Rat simplex it replaced (same status, pivots, values and
+# model per Check; same status, node count and model per LIA/LRA/NRA
+# solve) — all under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
 	$(GO) test -race -count=1 -run 'TestNonlinearKernelMatchesExact' ./internal/intsolver
+	$(GO) test -race -count=1 -run 'TestSimplexMatchesReference' ./internal/simplex
+	$(GO) test -race -count=1 -run 'TestLinearSolveMatchesReference' ./internal/intsolver ./internal/realsolver
 
 # sat-diff is the CDCL differential gate: random CNF instances against a
 # brute-force oracle across every solver configuration (clause-DB
@@ -82,13 +89,13 @@ chaos:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/chaos
 
 # cancel is the portfolio cancellation gate: every layer on a leg's path
-# (FP search, integer and real search, bit-blast encoding, SAT
-# preprocessing) must stop within about one unit of work once its
+# (FP search, integer and real search, the simplex, bit-blast encoding,
+# SAT preprocessing) must stop within about one unit of work once its
 # interrupt is set, and a portfolio's losing STAUB leg must stop when the
 # unbounded leg wins — three runs each under the race detector.
 cancel:
 	$(GO) test -race -count=3 -run 'TestInterrupted|TestPortfolioLosersStopOnWin|TestCubeInterrupt' \
-		./internal/fpsolver ./internal/intsolver ./internal/realsolver \
+		./internal/fpsolver ./internal/intsolver ./internal/realsolver ./internal/simplex \
 		./internal/bitblast ./internal/sat ./internal/cube ./internal/core
 
 # serve-smoke boots the real staub-serve on a random port, solves a

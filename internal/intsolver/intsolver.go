@@ -16,7 +16,6 @@ package intsolver
 
 import (
 	"math/big"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -156,29 +155,46 @@ func solveCase(c *smt.Constraint, cs poly.Case, st *searchState) (status.Status,
 	return solveNonlinearCase(c, cs, st)
 }
 
-// solveLinearCase runs branch-and-bound over the simplex relaxation.
+// solveLinearCase runs branch-and-bound over the simplex relaxation. A
+// Sat answer stands only once its model satisfies the case's atoms.
 func solveLinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (status.Status, eval.Assignment) {
 	sx := simplex.New()
+	sx.Interrupt = st.params.Interrupt
 	for _, a := range cs {
 		if err := sx.AddAtom(a); err != nil {
 			return status.Unknown, nil
 		}
 	}
-	// Integer variables of the constraint that actually occur.
-	intVars := map[string]bool{}
+	// The integer variables of the constraint that occur in the case, in
+	// name order: branching takes the first fractional one, so the search
+	// tree is deterministic.
+	isInt := map[string]bool{}
 	for _, v := range c.Vars {
 		if v.Sort.Kind == smt.KindInt {
-			intVars[v.Name] = true
+			isInt[v.Name] = true
 		}
 	}
-	res, model := branchAndBound(sx, intVars, cs, st.params.MaxBranchDepth, st)
+	var ints []int
+	for _, name := range sx.VarNames() {
+		if isInt[name] {
+			vi, _ := sx.Index(name)
+			ints = append(ints, vi)
+		}
+	}
+	res, model := branchAndBound(sx, ints, st.params.MaxBranchDepth, st)
 	if res != status.Sat {
 		return res, nil
+	}
+	if !cs.Holds(model) {
+		return status.Unknown, nil
 	}
 	return status.Sat, completeModel(c, model)
 }
 
-func branchAndBound(sx *simplex.Solver, intVars map[string]bool, cs poly.Case, depth int, st *searchState) (status.Status, map[string]*big.Rat) {
+// branchAndBound searches below the node sx. It owns sx: the left child
+// runs on a clone and the right child on sx itself, since nothing reads
+// the node after its children.
+func branchAndBound(sx *simplex.Solver, ints []int, depth int, st *searchState) (status.Status, map[string]*big.Rat) {
 	if !st.spend(1) {
 		return status.Unknown, nil
 	}
@@ -188,42 +204,22 @@ func branchAndBound(sx *simplex.Solver, intVars map[string]bool, cs poly.Case, d
 	case simplex.Unknown:
 		return status.Unknown, nil
 	}
-	model := sx.Model()
-	// Find the first fractional integer variable in sorted order (for
-	// deterministic search trees).
-	names := make([]string, 0, len(model))
-	for name := range model {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fracVar := ""
-	for _, name := range names {
-		if intVars[name] && !model[name].IsInt() {
-			fracVar = name
-			break
-		}
-	}
-	if fracVar == "" {
-		// Integral already; round the model into big.Ints implicitly (all
-		// integer vars are integral, real vars none here).
-		return status.Sat, model
+	vi, floor := sx.FirstFractional(ints)
+	if vi < 0 {
+		return status.Sat, sx.Model()
 	}
 	if depth <= 0 {
 		return status.Unknown, nil
 	}
-	v := model[fracVar]
-	floor := interval.Floor(v)
-	ceil := interval.Ceil(v)
 
 	left := sx.Clone()
-	left.AssertUpper(fracVar, new(big.Rat).SetInt(floor))
-	resL, mL := branchAndBound(left, intVars, cs, depth-1, st)
+	left.AssertUpper(vi, floor)
+	resL, mL := branchAndBound(left, ints, depth-1, st)
 	if resL == status.Sat {
 		return status.Sat, mL
 	}
-	right := sx.Clone()
-	right.AssertLower(fracVar, new(big.Rat).SetInt(ceil))
-	resR, mR := branchAndBound(right, intVars, cs, depth-1, st)
+	sx.AssertLower(vi, floor.Add(simplex.Int(1)))
+	resR, mR := branchAndBound(sx, ints, depth-1, st)
 	if resR == status.Sat {
 		return status.Sat, mR
 	}
@@ -239,16 +235,13 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 	vars := cs.Vars()
 	if len(vars) == 0 {
 		// Ground case: evaluate each atom at the empty point.
-		for _, a := range cs {
-			ok, err := a.Holds(nil)
-			if err != nil || !ok {
-				return status.Unsat, nil
-			}
+		if !cs.Holds(nil) {
+			return status.Unsat, nil
 		}
 		return status.Sat, completeModel(c, nil)
 	}
 
-	base, refuted := rootBox(cs, vars)
+	base, refuted := rootBox(cs, vars, st.params.Interrupt)
 	if refuted {
 		return status.Unsat, nil
 	}
@@ -283,7 +276,7 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 // rootBox returns the initial box of a nonlinear case — single-variable
 // linear atoms contracted in, integers rounded — and refuted=true when
 // root-level reasoning already proves the case unsat.
-func rootBox(cs poly.Case, vars []string) (box map[string]interval.Interval, refuted bool) {
+func rootBox(cs poly.Case, vars []string, interrupt *atomic.Bool) (box map[string]interval.Interval, refuted bool) {
 	box = map[string]interval.Interval{}
 	for _, v := range vars {
 		box[v] = interval.Full()
@@ -299,7 +292,7 @@ func rootBox(cs poly.Case, vars []string) (box map[string]interval.Interval, ref
 
 	// An infeasible linear subset also refutes the case (solvers discharge
 	// this with their linear core before any nonlinear reasoning).
-	if linearSubsetUnsat(cs) {
+	if linearSubsetUnsat(cs, interrupt) {
 		return nil, true
 	}
 	return box, false
@@ -327,8 +320,9 @@ func searchBox(cs poly.Case, vars []string, box map[string]interval.Interval, k 
 
 // linearSubsetUnsat reports whether the linear atoms of the case alone are
 // infeasible over the rationals (which refutes the integer case too).
-func linearSubsetUnsat(cs poly.Case) bool {
+func linearSubsetUnsat(cs poly.Case, interrupt *atomic.Bool) bool {
 	sx := simplex.New()
+	sx.Interrupt = interrupt
 	n := 0
 	for _, a := range cs {
 		if a.P.IsLinear() && a.Rel != poly.RelNe {
@@ -423,11 +417,8 @@ func branchPrune(cs poly.Case, vars []string, box map[string]interval.Interval, 
 		for _, v := range vars {
 			point[v] = new(big.Rat).Set(box[v].Lo.V)
 		}
-		for _, a := range cs {
-			ok, err := a.Holds(point)
-			if err != nil || !ok {
-				return status.Unsat, nil
-			}
+		if !cs.Holds(point) {
+			return status.Unsat, nil
 		}
 		return status.Sat, point
 	}

@@ -2,9 +2,9 @@ package intsolver
 
 import (
 	"math/big"
-	"math/bits"
 	"sort"
 
+	"staub/internal/checked"
 	"staub/internal/interval"
 	"staub/internal/poly"
 	"staub/internal/status"
@@ -181,11 +181,11 @@ func (k *kernel) holds(ai int) bool {
 	for _, t := range a.terms {
 		v, ok := t.coef, true
 		for _, i := range t.vars {
-			if v, ok = mul64(v, k.lo[i]); !ok {
+			if v, ok = checked.Mul(v, k.lo[i]); !ok {
 				return k.holdsExact(ai)
 			}
 		}
-		if sum, ok = add64(sum, v); !ok {
+		if sum, ok = checked.Add(sum, v); !ok {
 			return k.holdsExact(ai)
 		}
 	}
@@ -214,38 +214,4 @@ func (k *kernel) point() map[string]*big.Rat {
 		pt[v] = new(big.Rat).SetInt64(k.lo[i])
 	}
 	return pt
-}
-
-// mul64 returns a·b and whether it fits in an int64.
-func mul64(a, b int64) (int64, bool) {
-	ua, ub := uint64(a), uint64(b)
-	if a < 0 {
-		ua = -ua
-	}
-	if b < 0 {
-		ub = -ub
-	}
-	hi, lo := bits.Mul64(ua, ub)
-	if hi != 0 {
-		return 0, false
-	}
-	if (a < 0) != (b < 0) {
-		if lo > 1<<63 {
-			return 0, false
-		}
-		return -int64(lo), true
-	}
-	if lo >= 1<<63 {
-		return 0, false
-	}
-	return int64(lo), true
-}
-
-// add64 returns a+b and whether it fits in an int64.
-func add64(a, b int64) (int64, bool) {
-	s := a + b
-	if (a^s)&(b^s) < 0 {
-		return 0, false
-	}
-	return s, true
 }

@@ -33,7 +33,7 @@ func compareCase(t *testing.T, name string, cs poly.Case, stK, stE *searchState,
 	if len(vars) == 0 {
 		return
 	}
-	base, refuted := rootBox(cs, vars)
+	base, refuted := rootBox(cs, vars, nil)
 	if refuted {
 		return
 	}
@@ -250,7 +250,7 @@ func TestNonlinearKernelMatchesExact(t *testing.T) {
 func TestPruneStaysOnReference(t *testing.T) {
 	cs := poly.Case(append(box(-3, 3, "x", "y"), atom(poly.RelEq, term(1, 1, "x", "y"), term(-6, 1))))
 	vars := cs.Vars()
-	base, _ := rootBox(cs, vars)
+	base, _ := rootBox(cs, vars, nil)
 	k := compileKernel(cs, vars)
 	searchBox(cs, vars, base, k, &searchState{params: Params{Prune: true}.withDefaults()})
 	// The kernel never ran: its box is still the zero value it compiled with.

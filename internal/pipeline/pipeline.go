@@ -120,6 +120,51 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// Knob ranges every entry point accepts (Validate).
+const (
+	// MaxWidth bounds every bit width a request may name.
+	MaxWidth = 1 << 16
+	// MaxCubeVars bounds the cube split: 2^CubeVars cubes are built.
+	MaxCubeVars = 12
+	// MaxCubeJobs bounds the concurrent cube legs.
+	MaxCubeJobs = 1 << 10
+	// MaxCubeShareLBD bounds the clause-sharing glue cutoff.
+	MaxCubeShareLBD = 1 << 10
+)
+
+// Validate rejects knob values no entry point may hand the pipeline: the
+// HTTP handlers, the session tier and the peer wire all call it before
+// any solving, so the three accept exactly the same configurations.
+func (c Config) Validate() error {
+	switch {
+	case c.Timeout < 0:
+		return fmt.Errorf("negative timeout %v", c.Timeout)
+	case c.Profile != solver.Prima && c.Profile != solver.Secunda:
+		return fmt.Errorf("invalid profile %d", int(c.Profile))
+	case c.RefineRounds < 0 || c.WidthStep < 0:
+		return fmt.Errorf("refinement knobs out of range (refine_rounds %d, width_step %d)", c.RefineRounds, c.WidthStep)
+	case c.CubeVars < 0 || c.CubeVars > MaxCubeVars:
+		return fmt.Errorf("cube_vars %d out of range (0..%d)", c.CubeVars, MaxCubeVars)
+	case c.CubeJobs < 0 || c.CubeJobs > MaxCubeJobs:
+		return fmt.Errorf("cube_jobs %d out of range (0..%d)", c.CubeJobs, MaxCubeJobs)
+	case c.CubeShareLBD > MaxCubeShareLBD:
+		return fmt.Errorf("cube_share_lbd %d out of range (at most %d)", c.CubeShareLBD, MaxCubeShareLBD)
+	}
+	for _, w := range []struct {
+		name string
+		v    int
+	}{
+		{"width", c.FixedWidth}, {"start_width", c.StartWidth},
+		{"min_width", c.Limits.MinWidth}, {"max_width", c.Limits.MaxWidth},
+		{"max_sig", c.Limits.MaxSig}, {"max_prec", c.Limits.MaxPrec},
+	} {
+		if w.v < 0 || w.v > MaxWidth {
+			return fmt.Errorf("%s %d out of range (0..%d)", w.name, w.v, MaxWidth)
+		}
+	}
+	return nil
+}
+
 // widthStep is the effective between-round width multiplier.
 func (c Config) widthStep() int {
 	if c.WidthStep < 2 {

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"fmt"
+	"math/big"
 	"sort"
 
 	"staub/internal/smt"
@@ -260,6 +261,17 @@ func (c Case) Vars() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Holds reports whether every atom of the case holds at the point; an
+// atom that cannot be evaluated there does not.
+func (c Case) Holds(point map[string]*big.Rat) bool {
+	for _, a := range c {
+		if ok, err := a.Holds(point); err != nil || !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxDegree returns the maximum polynomial degree in the case.

@@ -155,9 +155,10 @@ func EncodeJob(key string, j engine.Job) WireJob {
 }
 
 // DecodeJob rebuilds the engine job from the wire, parsing the
-// constraint script. It validates the schema version and enum ranges but
-// not the key — the peer handler recomputes the key from the returned
-// job and compares it to w.Key itself.
+// constraint script. It validates the schema version, the enum ranges
+// and every knob (pipeline.Config.Validate, the same ranges the HTTP
+// handlers accept) but not the key — the peer handler recomputes the key
+// from the returned job and compares it to w.Key itself.
 func DecodeJob(w WireJob) (engine.Job, error) {
 	if w.Schema != SchemaVersion {
 		return engine.Job{}, fmt.Errorf("pool: peer wire schema %d, want %d", w.Schema, SchemaVersion)
@@ -168,38 +169,45 @@ func DecodeJob(w WireJob) (engine.Job, error) {
 	if w.Profile < 0 || w.Profile > int(solver.Secunda) {
 		return engine.Job{}, fmt.Errorf("pool: invalid profile %d", w.Profile)
 	}
+	kind := engine.Kind(w.Kind)
+	var cfg core.Config
+	if kind == engine.KindSolve {
+		cfg = core.Config{Timeout: time.Duration(w.TimeoutNS), Profile: solver.Profile(w.Profile)}
+	} else {
+		wc := w.Config
+		if wc == nil {
+			return engine.Job{}, fmt.Errorf("pool: pipeline job without config")
+		}
+		cfg = core.Config{
+			FixedWidth: wc.FixedWidth, Timeout: time.Duration(wc.TimeoutNS),
+			Profile: solver.Profile(wc.Profile), UseSLOT: wc.UseSLOT,
+			RangeHints: wc.RangeHints, RefineRounds: wc.RefineRounds,
+			FreshRefine: wc.FreshRefine, StartWidth: wc.StartWidth,
+			WidthStep: wc.WidthStep, Seed: wc.Seed, Deterministic: wc.Determin,
+			Trace: wc.Trace, CubeVars: wc.CubeVars, CubeJobs: wc.CubeJobs,
+			CubeShareLBD: wc.CubeShareLBD, OverApprox: wc.OverApprox,
+		}
+		cfg.Limits.MinWidth = wc.MinWidth
+		cfg.Limits.MaxWidth = wc.MaxWidth
+		cfg.Limits.MaxSig = wc.MaxSig
+		cfg.Limits.MaxPrec = wc.MaxPrec
+	}
+	if err := cfg.Validate(); err != nil {
+		return engine.Job{}, fmt.Errorf("pool: %w", err)
+	}
 	c, err := smt.ParseScript(w.Constraint)
 	if err != nil {
 		return engine.Job{}, fmt.Errorf("pool: parsing peer constraint: %w", err)
 	}
-	j := engine.Job{Kind: engine.Kind(w.Kind), Constraint: c}
-	if j.Kind == engine.KindSolve {
-		j.Profile = solver.Profile(w.Profile)
-		j.Timeout = time.Duration(w.TimeoutNS)
+	j := engine.Job{Kind: kind, Constraint: c}
+	if kind == engine.KindSolve {
+		j.Profile = cfg.Profile
+		j.Timeout = cfg.Timeout
 		j.Seed = w.Seed
 		j.Deterministic = w.Determin
 		return j, nil
 	}
-	wc := w.Config
-	if wc == nil {
-		return engine.Job{}, fmt.Errorf("pool: pipeline job without config")
-	}
-	if wc.Profile < 0 || wc.Profile > int(solver.Secunda) {
-		return engine.Job{}, fmt.Errorf("pool: invalid config profile %d", wc.Profile)
-	}
-	j.Config = core.Config{
-		FixedWidth: wc.FixedWidth, Timeout: time.Duration(wc.TimeoutNS),
-		Profile: solver.Profile(wc.Profile), UseSLOT: wc.UseSLOT,
-		RangeHints: wc.RangeHints, RefineRounds: wc.RefineRounds,
-		FreshRefine: wc.FreshRefine, StartWidth: wc.StartWidth,
-		WidthStep: wc.WidthStep, Seed: wc.Seed, Deterministic: wc.Determin,
-		Trace: wc.Trace, CubeVars: wc.CubeVars, CubeJobs: wc.CubeJobs,
-		CubeShareLBD: wc.CubeShareLBD, OverApprox: wc.OverApprox,
-	}
-	j.Config.Limits.MinWidth = wc.MinWidth
-	j.Config.Limits.MaxWidth = wc.MaxWidth
-	j.Config.Limits.MaxSig = wc.MaxSig
-	j.Config.Limits.MaxPrec = wc.MaxPrec
+	j.Config = cfg
 	return j, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"staub/internal/absint"
 	"staub/internal/bv"
 	"staub/internal/core"
 	"staub/internal/engine"
@@ -99,6 +100,50 @@ func TestWireJobRejectsSkew(t *testing.T) {
 	pipe.Config = nil
 	if _, err := DecodeJob(pipe); err == nil {
 		t.Error("pipeline job without config decoded without error")
+	}
+}
+
+// TestDecodeJobRejectsOutOfRangeKnobs: every knob range the HTTP
+// handlers enforce (pipeline.Config.Validate) holds on the peer wire too,
+// one out-of-range field per row. Decoding alone is tested; no such job
+// is ever solved.
+func TestDecodeJobRejectsOutOfRangeKnobs(t *testing.T) {
+	c := mustParse(t, wireNIA)
+	pipe := func(cfg core.Config) WireJob {
+		j := engine.Job{Kind: engine.KindPipeline, Constraint: c, Config: cfg}
+		return EncodeJob(j.Key(), j)
+	}
+	solve := engine.Job{Kind: engine.KindSolve, Constraint: c, Timeout: -time.Second}
+	cases := []struct {
+		name string
+		w    WireJob
+	}{
+		{"cube_vars above 12", pipe(core.Config{CubeVars: pipeline.MaxCubeVars + 1})},
+		{"negative cube_vars", pipe(core.Config{CubeVars: -1})},
+		{"cube_jobs above 1024", pipe(core.Config{CubeJobs: pipeline.MaxCubeJobs + 1})},
+		{"negative cube_jobs", pipe(core.Config{CubeJobs: -1})},
+		{"cube_share_lbd above 1024", pipe(core.Config{CubeShareLBD: pipeline.MaxCubeShareLBD + 1})},
+		{"negative config timeout", pipe(core.Config{Timeout: -time.Millisecond})},
+		{"negative solve timeout", EncodeJob(solve.Key(), solve)},
+		{"width above 1<<16", pipe(core.Config{FixedWidth: pipeline.MaxWidth + 1})},
+		{"negative width", pipe(core.Config{FixedWidth: -8})},
+		{"start_width above 1<<16", pipe(core.Config{StartWidth: pipeline.MaxWidth + 1})},
+		{"max_width above 1<<16", pipe(core.Config{Limits: absint.Limits{MaxWidth: pipeline.MaxWidth + 1}})},
+		{"negative min_width", pipe(core.Config{Limits: absint.Limits{MinWidth: -1}})},
+		{"negative refine_rounds", pipe(core.Config{RefineRounds: -1})},
+		{"negative width_step", pipe(core.Config{WidthStep: -2})},
+		{"config profile 2", pipe(core.Config{Profile: solver.Secunda + 1})},
+	}
+	for _, tc := range cases {
+		if _, err := DecodeJob(tc.w); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+	// The boundary values themselves are accepted.
+	edge := pipe(core.Config{CubeVars: pipeline.MaxCubeVars, CubeJobs: pipeline.MaxCubeJobs,
+		CubeShareLBD: -1, FixedWidth: pipeline.MaxWidth, StartWidth: pipeline.MaxWidth})
+	if _, err := DecodeJob(edge); err != nil {
+		t.Errorf("boundary knobs rejected: %v", err)
 	}
 }
 

@@ -144,12 +144,14 @@ func solveCase(c *smt.Constraint, cs poly.Case, st *searchState) (status.Status,
 }
 
 // solveLinearCase decides a linear case with one simplex run (LRA is
-// decidable without branching).
+// decidable without branching). A Sat answer stands only once its model
+// satisfies the case's atoms.
 func solveLinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (status.Status, eval.Assignment) {
 	if !st.spend(1) {
 		return status.Unknown, nil
 	}
 	sx := simplex.New()
+	sx.Interrupt = st.params.Interrupt
 	for _, a := range cs {
 		if err := sx.AddAtom(a); err != nil {
 			return status.Unknown, nil
@@ -161,18 +163,19 @@ func solveLinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (status.S
 	case simplex.Unknown:
 		return status.Unknown, nil
 	}
-	return status.Sat, completeModel(c, sx.Model())
+	model := sx.Model()
+	if !cs.Holds(model) {
+		return status.Unknown, nil
+	}
+	return status.Sat, completeModel(c, model)
 }
 
 // solveNonlinearCase runs ICP with iterative deepening.
 func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (status.Status, eval.Assignment) {
 	vars := cs.Vars()
 	if len(vars) == 0 {
-		for _, a := range cs {
-			ok, err := a.Holds(nil)
-			if err != nil || !ok {
-				return status.Unsat, nil
-			}
+		if !cs.Holds(nil) {
+			return status.Unsat, nil
 		}
 		return status.Sat, completeModel(c, nil)
 	}
@@ -187,7 +190,7 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 			return status.Unsat, nil
 		}
 	}
-	if linearSubsetUnsat(cs) {
+	if linearSubsetUnsat(cs, st.params.Interrupt) {
 		return status.Unsat, nil
 	}
 
@@ -229,8 +232,9 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 
 // linearSubsetUnsat reports whether the linear atoms of the case alone are
 // infeasible (solvers discharge this with their linear core first).
-func linearSubsetUnsat(cs poly.Case) bool {
+func linearSubsetUnsat(cs poly.Case, interrupt *atomic.Bool) bool {
 	sx := simplex.New()
+	sx.Interrupt = interrupt
 	n := 0
 	for _, a := range cs {
 		if a.P.IsLinear() && a.Rel != poly.RelNe {
@@ -297,15 +301,7 @@ func branchPrune(cs poly.Case, vars []string, box map[string]interval.Interval, 
 	}
 	// Exact point check at the box midpoint (covers equality atoms with
 	// rational solutions).
-	pointOK := true
-	for _, a := range cs {
-		ok, err := a.Holds(mid)
-		if err != nil || !ok {
-			pointOK = false
-			break
-		}
-	}
-	if pointOK {
+	if cs.Holds(mid) {
 		return status.Sat, mid
 	}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -249,22 +250,18 @@ func validateKnobs(emptyConstraint bool, mode, profile string, timeoutMS int64, 
 	default:
 		return fmt.Errorf("unknown profile %q (want prima or secunda)", profile)
 	}
-	if timeoutMS < 0 {
-		return fmt.Errorf("negative timeout_ms %d", timeoutMS)
+	cfg := pipeline.Config{
+		Timeout: msDuration(timeoutMS), FixedWidth: width,
+		CubeVars: cubeVars, CubeJobs: cubeJobs, CubeShareLBD: cubeShareLBD,
 	}
-	if width < 0 || width > 1<<16 {
-		return fmt.Errorf("width %d out of range", width)
-	}
-	if cubeVars < 0 || cubeVars > 12 {
-		return fmt.Errorf("cube_vars %d out of range (0..12)", cubeVars)
-	}
-	if cubeJobs < 0 || cubeJobs > 1<<10 {
-		return fmt.Errorf("cube_jobs %d out of range", cubeJobs)
-	}
-	if cubeShareLBD > 1<<10 {
-		return fmt.Errorf("cube_share_lbd %d out of range", cubeShareLBD)
-	}
-	return nil
+	return cfg.Validate()
+}
+
+// msDuration converts a request's millisecond count for Validate,
+// saturating so that the conversion cannot wrap its sign.
+func msDuration(ms int64) time.Duration {
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	return time.Duration(max(min(ms, maxMS), -maxMS)) * time.Millisecond
 }
 
 // timeout clamps the requested budget into (0, MaxTimeout].

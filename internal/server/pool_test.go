@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"staub/internal/core"
 	"staub/internal/engine"
 	"staub/internal/pool"
 	"staub/internal/smt"
@@ -173,6 +174,15 @@ func TestPeerSolveEndpoint(t *testing.T) {
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("garbage body = %d, want 400", resp.StatusCode)
+		}
+	})
+
+	t.Run("knob-out-of-range-400", func(t *testing.T) {
+		// Decode refuses the job, so nothing builds 2^13 cubes.
+		bad := engine.Job{Kind: engine.KindPipeline, Constraint: c, Config: core.Config{Timeout: time.Second, CubeVars: 13}}
+		resp := postJSON(t, ts.URL+"/v1/peer/solve", pool.EncodeJob(bad.Key(), bad))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("cube_vars=13 peer job = %d, want 400", resp.StatusCode)
 		}
 	})
 

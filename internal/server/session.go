@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"staub/internal/pipeline"
 	"staub/internal/session"
 	"staub/internal/solver"
 )
@@ -263,8 +264,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown profile %q (want prima or secunda)", req.Profile)
 		return
 	}
-	if req.StartWidth < 0 || req.StartWidth > 1<<16 || req.WidthStep < 0 || req.RefineRounds < 0 {
-		writeError(w, http.StatusBadRequest, "refinement knobs out of range")
+	cfg := pipeline.Config{
+		Timeout: msDuration(req.TimeoutMS), StartWidth: req.StartWidth,
+		WidthStep: req.WidthStep, RefineRounds: req.RefineRounds,
+	}
+	if err := cfg.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 

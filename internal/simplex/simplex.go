@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"sync/atomic"
 
 	"staub/internal/poly"
 )
@@ -29,73 +30,152 @@ func (s Status) String() string {
 	}
 }
 
+// defaultPivotLimit bounds the pivots of one Check when PivotLimit is 0.
+const defaultPivotLimit = 20000
+
 // Solver decides conjunctions of linear atoms over the rationals. Atoms
-// are added with AddAtom (and AssertBounds for branch-and-bound); Check
-// runs the general simplex. Solvers are single-goal but cheap to Clone for
-// tree search.
+// are added with AddAtom (and bounds with AssertLower/AssertUpper for
+// branch-and-bound); Check runs the general simplex. Solvers are
+// single-goal but cheap to Clone for tree search.
 type Solver struct {
-	names   []string       // index → variable name ("" for slacks)
-	index   map[string]int // structural variable name → index
-	rows    map[int]map[int]*big.Rat
-	lower   []bound
-	upper   []bound
-	beta    []Num
-	isBasic []bool
-	atoms   []poly.Atom // retained for δ resolution
+	// index and forms only grow. Clones share them: a shared index is
+	// copied before its first new name, and a clone's forms have their
+	// capacity clipped so that an append copies.
+	index    map[string]int // structural variable name → variable index
+	ownIndex bool           // index is not shared with a clone
+	forms    []atomForm     // every atom, as one variable's bound
+
+	vars []varState
+	// The tableau: rows[r] holds the nonzero coefficients of basic
+	// variable basic[r] over the nonbasic columns, sorted by column. No two
+	// rows share backing storage within their capacity, so a row may be
+	// rewritten in place.
+	rows  [][]entry
+	basic []int
+
+	tmp []entry // scratch for rewriting a row
 
 	// PivotLimit bounds the number of pivots per Check; 0 means the
 	// default. Exceeding it yields Unknown.
 	PivotLimit int
+	// Interrupt, when set, makes Check return Unknown before its next
+	// pivot (one atomic load per pivot; nil: never).
+	Interrupt *atomic.Bool
+
+	onPivot func(leaving, entering int) // test hook
+}
+
+// varState is one variable's bounds, value and tableau row.
+type varState struct {
+	lower, upper bound
+	beta         Num
+	row          int // the variable's tableau row when basic, else -1
+}
+
+// entry is one nonzero tableau coefficient.
+type entry struct {
+	col int
+	c   rat
+}
+
+// atomForm is an atom restated on one variable: c·x + k ⋈ 0, where x is
+// the atom's only variable or the slack standing for its linear part.
+type atomForm struct {
+	vi   int
+	c, k rat
+	rel  poly.Rel
 }
 
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{index: map[string]int{}, rows: map[int]map[int]*big.Rat{}}
+	return &Solver{index: map[string]int{}, ownIndex: true}
 }
 
-// Clone returns an independent deep copy (for branch-and-bound).
+// Clone returns an independent copy (for branch-and-bound).
 func (s *Solver) Clone() *Solver {
-	out := &Solver{
-		names:      append([]string(nil), s.names...),
-		index:      make(map[string]int, len(s.index)),
-		rows:       make(map[int]map[int]*big.Rat, len(s.rows)),
-		lower:      append([]bound(nil), s.lower...),
-		upper:      append([]bound(nil), s.upper...),
-		beta:       append([]Num(nil), s.beta...),
-		isBasic:    append([]bool(nil), s.isBasic...),
-		atoms:      append([]poly.Atom(nil), s.atoms...),
-		PivotLimit: s.PivotLimit,
+	out := *s
+	out.forms = s.forms[:len(s.forms):len(s.forms)]
+	s.ownIndex, out.ownIndex = false, false
+	out.vars = append([]varState(nil), s.vars...)
+	out.basic = append([]int(nil), s.basic...)
+	// Every row keeps its capacity, carved from one buffer, so the clone
+	// grows its rows no more often than s does.
+	n := 0
+	for _, row := range s.rows {
+		n += cap(row)
 	}
-	for k, v := range s.index {
-		out.index[k] = v
-	}
+	buf := make([]entry, n)
+	out.rows = make([][]entry, len(s.rows))
 	for r, row := range s.rows {
-		nr := make(map[int]*big.Rat, len(row))
-		for c, coef := range row {
-			nr[c] = new(big.Rat).Set(coef)
-		}
-		out.rows[r] = nr
+		copy(buf, row)
+		out.rows[r], buf = buf[:len(row):cap(row)], buf[cap(row):]
 	}
-	return out
+	out.tmp = nil
+	return &out
 }
 
 func (s *Solver) varIndex(name string) int {
 	if i, ok := s.index[name]; ok {
 		return i
 	}
-	i := s.newVar(name)
+	if !s.ownIndex {
+		index := make(map[string]int, len(s.index)+1)
+		for k, v := range s.index {
+			index[k] = v
+		}
+		s.index, s.ownIndex = index, true
+	}
+	i := s.newVar()
 	s.index[name] = i
 	return i
 }
 
-func (s *Solver) newVar(name string) int {
-	i := len(s.names)
-	s.names = append(s.names, name)
-	s.lower = append(s.lower, bound{})
-	s.upper = append(s.upper, bound{})
-	s.beta = append(s.beta, Zero())
-	s.isBasic = append(s.isBasic, false)
-	return i
+// newVar adds a nonbasic variable at 0.
+func (s *Solver) newVar() int {
+	s.vars = append(s.vars, varState{row: -1})
+	return len(s.vars) - 1
+}
+
+// find returns the position of column vi in row, or where it would be
+// inserted, and whether it is there.
+func find(row []entry, vi int) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].col < vi {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(row) && row[lo].col == vi
+}
+
+// axpy appends x + c·y to out, dropping column skip of x and every zero,
+// and returns it; x and y are rows.
+func axpy(out, x []entry, skip int, c rat, y []entry) []entry {
+	i, j := 0, 0
+	for i < len(x) || j < len(y) {
+		switch {
+		case j == len(y) || i < len(x) && x[i].col < y[j].col:
+			if x[i].col != skip {
+				out = append(out, x[i])
+			}
+			i++
+		case i == len(x) || y[j].col < x[i].col:
+			if v := c.mul(y[j].c); v.sign() != 0 {
+				out = append(out, entry{y[j].col, v})
+			}
+			j++
+		default:
+			if v := x[i].c.add(c.mul(y[j].c)); v.sign() != 0 {
+				out = append(out, entry{x[i].col, v})
+			}
+			i++
+			j++
+		}
+	}
+	return out
 }
 
 // AddAtom adds a linear atom p ⋈ 0. RelNe atoms are rejected (callers
@@ -107,179 +187,195 @@ func (s *Solver) AddAtom(a poly.Atom) error {
 	if a.Rel == poly.RelNe {
 		return fmt.Errorf("simplex: disequality atom %v requires a case split", a)
 	}
-	s.atoms = append(s.atoms, a)
+	k := ratOf(a.P.ConstPart())
 
-	// Build the row Σ c_i x_i; the constant moves to the bound side.
 	// Monomials are visited in sorted order: variable indices are assigned
 	// on first sight, and Bland's rule pivots by index, so the iteration
 	// order here must not depend on map order.
-	constPart := a.P.ConstPart()
 	monos := make([]string, 0, len(a.P))
 	for m := range a.P {
-		if m == "" {
-			continue
+		if m != "" {
+			monos = append(monos, string(m))
 		}
-		monos = append(monos, string(m))
 	}
 	sort.Strings(monos)
-	row := map[int]*big.Rat{}
-	for _, m := range monos {
-		vi := s.varIndex(m)
-		row[vi] = new(big.Rat).Set(a.P[poly.Monomial(m)])
+	vis := make([]int, len(monos))
+	for i, m := range monos {
+		vis[i] = s.varIndex(m)
 	}
 
-	// Single-variable atoms tighten bounds directly.
-	if len(row) == 1 {
-		for vi, c := range row {
-			// c*x + k ⋈ 0  →  x ⋈' -k/c
-			rhs := new(big.Rat).Neg(constPart)
-			rhs.Quo(rhs, c)
-			flip := c.Sign() < 0
-			s.assertAtomBound(vi, a.Rel, rhs, flip)
-		}
+	// Single-variable atoms tighten bounds directly: c·x + k ⋈ 0 becomes
+	// x ⋈' -k/c.
+	if len(monos) == 1 {
+		c := ratOf(a.P[poly.Monomial(monos[0])])
+		s.forms = append(s.forms, atomForm{vi: vis[0], c: c, k: k, rel: a.Rel})
+		s.assertAtomBound(vis[0], a.Rel, k.neg().quo(c), c.sign() < 0)
 		return nil
 	}
 
-	// General atom: introduce a slack basic variable equal to the linear
-	// part.
-	si := s.newVar("")
-	s.isBasic[si] = true
-	s.rows[si] = row
-	rhs := new(big.Rat).Neg(constPart)
-	s.assertAtomBound(si, a.Rel, rhs, false)
+	// General atom: a basic slack variable equal to the linear part, its
+	// row written over the nonbasic variables and its value β consistent
+	// with theirs from the start.
+	var row []entry
+	var beta Num
+	for i, m := range monos {
+		c, vi := ratOf(a.P[poly.Monomial(m)]), vis[i]
+		beta = beta.addScaled(c, s.vars[vi].beta)
+		y := []entry{{col: vi, c: ratInt(1)}}
+		if br := s.vars[vi].row; br >= 0 {
+			y = s.rows[br]
+		}
+		row = axpy(nil, row, -1, c, y)
+	}
+	si := s.newVar()
+	r := len(s.basic)
+	s.basic = append(s.basic, si)
+	s.rows = append(s.rows, row)
+	s.vars[si].row, s.vars[si].beta = r, beta
+	s.forms = append(s.forms, atomForm{vi: si, c: ratInt(1), k: k, rel: a.Rel})
+	s.assertAtomBound(si, a.Rel, k.neg(), false)
 	return nil
 }
 
 // assertAtomBound applies "expr ⋈ rhs" (or flipped when the coefficient
 // was negative) to variable vi.
-func (s *Solver) assertAtomBound(vi int, rel poly.Rel, rhs *big.Rat, flip bool) {
+func (s *Solver) assertAtomBound(vi int, rel poly.Rel, rhs rat, flip bool) {
 	switch rel {
 	case poly.RelEq:
-		s.tightenLower(vi, Rat(rhs))
-		s.tightenUpper(vi, Rat(rhs))
+		s.tightenLower(vi, Num{a: rhs})
+		s.tightenUpper(vi, Num{a: rhs})
 	case poly.RelLe:
 		if flip {
-			s.tightenLower(vi, Rat(rhs))
+			s.tightenLower(vi, Num{a: rhs})
 		} else {
-			s.tightenUpper(vi, Rat(rhs))
+			s.tightenUpper(vi, Num{a: rhs})
 		}
 	case poly.RelLt:
 		if flip {
-			s.tightenLower(vi, NumOf(rhs, big.NewRat(1, 1)))
+			s.tightenLower(vi, Num{a: rhs, b: ratInt(1)})
 		} else {
-			s.tightenUpper(vi, NumOf(rhs, big.NewRat(-1, 1)))
+			s.tightenUpper(vi, Num{a: rhs, b: ratInt(-1)})
 		}
 	}
 }
 
-// AssertLower adds name >= v (δ-free) for branch-and-bound.
-func (s *Solver) AssertLower(name string, v *big.Rat) {
-	s.tightenLower(s.varIndex(name), Rat(v))
+// Index returns the index of a structural variable.
+func (s *Solver) Index(name string) (int, bool) {
+	vi, ok := s.index[name]
+	return vi, ok
 }
 
-// AssertUpper adds name <= v (δ-free) for branch-and-bound.
-func (s *Solver) AssertUpper(name string, v *big.Rat) {
-	s.tightenUpper(s.varIndex(name), Rat(v))
-}
+// AssertLower adds x_vi >= v for a variable index from Index (a
+// branch-and-bound bound).
+func (s *Solver) AssertLower(vi int, v Num) { s.tightenLower(vi, v) }
+
+// AssertUpper adds x_vi <= v for a variable index from Index.
+func (s *Solver) AssertUpper(vi int, v Num) { s.tightenUpper(vi, v) }
 
 func (s *Solver) tightenLower(vi int, v Num) {
-	if !s.lower[vi].set || v.Cmp(s.lower[vi].val) > 0 {
-		s.lower[vi] = bound{val: v, set: true}
+	x := &s.vars[vi]
+	if !x.lower.set || v.Cmp(x.lower.val) > 0 {
+		x.lower = bound{val: v, set: true}
 	}
-	if !s.isBasic[vi] && s.beta[vi].Cmp(s.lower[vi].val) < 0 {
-		s.beta[vi] = s.lower[vi].val
+	if x.row < 0 && x.beta.Cmp(x.lower.val) < 0 {
+		s.update(vi, x.lower.val)
 	}
 }
 
 func (s *Solver) tightenUpper(vi int, v Num) {
-	if !s.upper[vi].set || v.Cmp(s.upper[vi].val) < 0 {
-		s.upper[vi] = bound{val: v, set: true}
+	x := &s.vars[vi]
+	if !x.upper.set || v.Cmp(x.upper.val) < 0 {
+		x.upper = bound{val: v, set: true}
 	}
-	if !s.isBasic[vi] && s.beta[vi].Cmp(s.upper[vi].val) > 0 {
-		s.beta[vi] = s.upper[vi].val
+	if x.row < 0 && x.beta.Cmp(x.upper.val) > 0 {
+		s.update(vi, x.upper.val)
 	}
 }
 
-// computeBasics recomputes β for every basic variable from the rows.
-func (s *Solver) computeBasics() {
-	for bi, row := range s.rows {
-		sum := Zero()
-		for vi, c := range row {
-			sum = sum.Add(s.beta[vi].Scale(c))
+// update sets nonbasic x_vi to v and moves every basic variable in its
+// column by c·(v - β_vi).
+func (s *Solver) update(vi int, v Num) {
+	d := v.Sub(s.vars[vi].beta)
+	s.shift(vi, d, -1)
+	s.vars[vi].beta = v
+}
+
+// shift adds c·d to each basic variable with coefficient c in column vi,
+// except the one in row skip.
+func (s *Solver) shift(vi int, d Num, skip int) {
+	for r, row := range s.rows {
+		if p, ok := find(row, vi); ok && r != skip {
+			bi := s.basic[r]
+			s.vars[bi].beta = s.vars[bi].beta.addScaled(row[p].c, d)
 		}
-		s.beta[bi] = sum
 	}
 }
 
 // Check runs the simplex and returns the feasibility status.
 func (s *Solver) Check() Status {
 	// Bound sanity: a variable with lower > upper is immediately unsat.
-	for vi := range s.names {
-		if s.lower[vi].set && s.upper[vi].set && s.lower[vi].val.Cmp(s.upper[vi].val) > 0 {
+	for i := range s.vars {
+		if x := &s.vars[i]; x.lower.set && x.upper.set && x.lower.val.Cmp(x.upper.val) > 0 {
 			return Unsat
 		}
 	}
 	limit := s.PivotLimit
 	if limit == 0 {
-		limit = 20000
+		limit = defaultPivotLimit
 	}
 	for iter := 0; iter < limit; iter++ {
-		s.computeBasics()
-		// Find the smallest-index violating basic variable (Bland).
-		viol, below := -1, false
-		keys := make([]int, 0, len(s.rows))
-		for bi := range s.rows {
-			keys = append(keys, bi)
+		if s.Interrupt != nil && s.Interrupt.Load() {
+			return Unknown
 		}
-		sort.Ints(keys)
-		for _, bi := range keys {
-			if s.lower[bi].set && s.beta[bi].Cmp(s.lower[bi].val) < 0 {
-				viol, below = bi, true
-				break
-			}
-			if s.upper[bi].set && s.beta[bi].Cmp(s.upper[bi].val) > 0 {
-				viol, below = bi, false
-				break
-			}
-		}
-		if viol < 0 {
+		bi, below := s.violated()
+		if bi < 0 {
 			return Sat
 		}
-		if !s.pivotFor(viol, below) {
+		if !s.pivotFor(bi, below) {
 			return Unsat
 		}
 	}
 	return Unknown
 }
 
-// pivotFor finds an entering variable to fix the violated basic variable
-// and pivots; it returns false when no entering variable exists (the
-// constraint system is infeasible).
-func (s *Solver) pivotFor(bi int, below bool) bool {
-	row := s.rows[bi]
-	cols := make([]int, 0, len(row))
-	for vi := range row {
-		cols = append(cols, vi)
-	}
-	sort.Ints(cols)
-	for _, vi := range cols {
-		c := row[vi]
-		var canFix bool
-		if below {
-			// Need to increase x_bi: increase vi if c > 0 and vi below its
-			// upper bound, or decrease vi if c < 0 and vi above its lower.
-			canFix = (c.Sign() > 0 && (!s.upper[vi].set || s.beta[vi].Cmp(s.upper[vi].val) < 0)) ||
-				(c.Sign() < 0 && (!s.lower[vi].set || s.beta[vi].Cmp(s.lower[vi].val) > 0))
-		} else {
-			canFix = (c.Sign() > 0 && (!s.lower[vi].set || s.beta[vi].Cmp(s.lower[vi].val) > 0)) ||
-				(c.Sign() < 0 && (!s.upper[vi].set || s.beta[vi].Cmp(s.upper[vi].val) < 0))
-		}
-		if !canFix {
+// violated returns the smallest-index basic variable outside its bounds
+// (Bland's rule), and whether it is below its lower bound; -1 when none
+// is.
+func (s *Solver) violated() (int, bool) {
+	for vi := range s.vars {
+		x := &s.vars[vi]
+		if x.row < 0 {
 			continue
 		}
-		target := s.lower[bi].val
-		if !below {
-			target = s.upper[bi].val
+		if x.lower.set && x.beta.Cmp(x.lower.val) < 0 {
+			return vi, true
+		}
+		if x.upper.set && x.beta.Cmp(x.upper.val) > 0 {
+			return vi, false
+		}
+	}
+	return -1, false
+}
+
+// pivotFor finds the smallest-index entering variable that can fix the
+// violated basic variable and pivots; it returns false when none exists
+// (the constraint system is infeasible).
+func (s *Solver) pivotFor(bi int, below bool) bool {
+	for _, e := range s.rows[s.vars[bi].row] {
+		vi, c := e.col, e.c
+		// Fixing x_bi moves vi up when it must increase and c > 0 or
+		// decrease and c < 0, down otherwise; vi must have room to move.
+		x := &s.vars[vi]
+		if below == (c.sign() > 0) {
+			if x.upper.set && x.beta.Cmp(x.upper.val) >= 0 {
+				continue
+			}
+		} else if x.lower.set && x.beta.Cmp(x.lower.val) <= 0 {
+			continue
+		}
+		target := s.vars[bi].upper.val
+		if below {
+			target = s.vars[bi].lower.val
 		}
 		s.pivot(bi, vi, target)
 		return true
@@ -287,83 +383,126 @@ func (s *Solver) pivotFor(bi int, below bool) bool {
 	return false
 }
 
-// pivot makes vi basic and bi nonbasic, setting bi's value to target and
-// solving bi's row for vi.
+// pivot makes vi basic and bi nonbasic at target. It first moves vi by
+// θ = (target - β_bi)/a, which brings x_bi to target and every other basic
+// variable along its column, then solves bi's row for vi and substitutes
+// that row into every other row.
 func (s *Solver) pivot(bi, vi int, target Num) {
-	row := s.rows[bi]
-	a := row[vi]
-	inv := new(big.Rat).Inv(a)
-
-	// x_bi = Σ c_j x_j  →  x_vi = (x_bi - Σ_{j≠vi} c_j x_j) / a
-	newRow := map[int]*big.Rat{bi: new(big.Rat).Set(inv)}
-	for j, c := range row {
-		if j == vi {
-			continue
-		}
-		nc := new(big.Rat).Mul(c, inv)
-		nc.Neg(nc)
-		newRow[j] = nc
+	if s.onPivot != nil {
+		s.onPivot(bi, vi)
 	}
-	delete(s.rows, bi)
-	s.rows[vi] = newRow
-	s.isBasic[bi] = false
-	s.isBasic[vi] = true
-	s.beta[bi] = target
+	r := s.vars[bi].row
+	row := s.rows[r]
+	p, _ := find(row, vi)
+	inv := row[p].c.inv()
+	theta := target.Sub(s.vars[bi].beta).scale(inv)
+	s.shift(vi, theta, r)
+	s.vars[vi].beta = s.vars[vi].beta.Add(theta)
+	s.vars[bi].beta = target
 
-	// Substitute x_vi in every other row.
-	for r, rr := range s.rows {
-		if r == vi {
+	// x_bi = a·x_vi + Σ c_j x_j  →  x_vi = x_bi/a - Σ (c_j/a) x_j. The
+	// row keeps its length: column vi leaves it and column bi enters.
+	ninv := inv.neg()
+	out := s.tmp[:0]
+	placed := false
+	for k, e := range row {
+		if !placed && e.col > bi {
+			out = append(out, entry{bi, inv})
+			placed = true
+		}
+		if k != p {
+			out = append(out, entry{e.col, e.c.mul(ninv)})
+		}
+	}
+	if !placed {
+		out = append(out, entry{bi, inv})
+	}
+	copy(row, out)
+	s.basic[r] = vi
+	s.vars[vi].row, s.vars[bi].row = r, -1
+
+	for r2, other := range s.rows {
+		q, ok := find(other, vi)
+		if r2 == r || !ok {
 			continue
 		}
-		c, ok := rr[vi]
-		if !ok {
-			continue
+		out = axpy(out[:0], other, vi, other[q].c, row)
+		if len(out) > cap(other) {
+			other = make([]entry, len(out), 2*len(out))
 		}
-		delete(rr, vi)
-		for j, nc := range newRow {
-			t := new(big.Rat).Mul(c, nc)
-			if old, ok := rr[j]; ok {
-				old.Add(old, t)
-				if old.Sign() == 0 {
-					delete(rr, j)
-				}
-			} else if t.Sign() != 0 {
-				rr[j] = t
+		s.rows[r2] = other[:len(out)]
+		copy(s.rows[r2], out)
+	}
+	s.tmp = out
+}
+
+// delta returns the δ of Model: the first of 1, 1/2, 1/4, … (128 tries)
+// under which every atom holds, or ok=false when none does.
+func (s *Solver) delta() (rat, bool) {
+	d, half := ratInt(1), rat{num: 1, dm1: 1}
+	for tries := 0; tries < 128; tries++ {
+		if s.formsHold(d) {
+			return d, true
+		}
+		d = d.mul(half)
+	}
+	return rat{}, false
+}
+
+// formsHold reports whether every atom holds with δ resolved to d.
+func (s *Solver) formsHold(d rat) bool {
+	for _, f := range s.forms {
+		v := f.c.mul(s.vars[f.vi].beta.resolve(d)).add(f.k)
+		switch f.rel {
+		case poly.RelEq:
+			if v.sign() != 0 {
+				return false
+			}
+		case poly.RelLe:
+			if v.sign() > 0 {
+				return false
+			}
+		case poly.RelLt:
+			if v.sign() >= 0 {
+				return false
 			}
 		}
 	}
+	return true
+}
+
+// modelValue returns x_vi in Model, given what delta returned.
+func (s *Solver) modelValue(vi int, d rat, ok bool) rat {
+	if !ok {
+		// δ resolution failed (should not happen for a Sat tableau): the
+		// standard part.
+		return s.vars[vi].beta.a
+	}
+	return s.vars[vi].beta.resolve(d)
 }
 
 // Model extracts a rational model after Sat, resolving δ to a concrete
 // positive rational small enough that every atom holds.
 func (s *Solver) Model() map[string]*big.Rat {
-	s.computeBasics()
-	delta := big.NewRat(1, 1)
-	for tries := 0; tries < 128; tries++ {
-		model := map[string]*big.Rat{}
-		for name, vi := range s.index {
-			model[name] = s.beta[vi].Resolve(delta)
-		}
-		ok := true
-		for _, a := range s.atoms {
-			holds, err := a.Holds(model)
-			if err != nil || !holds {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return model
-		}
-		delta.Quo(delta, big.NewRat(2, 1))
-	}
-	// δ resolution failed (should not happen for a Sat tableau); return
-	// the standard parts.
-	model := map[string]*big.Rat{}
+	d, ok := s.delta()
+	model := make(map[string]*big.Rat, len(s.index))
 	for name, vi := range s.index {
-		model[name] = new(big.Rat).Set(s.beta[vi].A)
+		model[name] = s.modelValue(vi, d, ok).toBig()
 	}
 	return model
+}
+
+// FirstFractional returns the first of the given variables (indices from
+// Index) whose value in Model is not an integer, and the floor of that
+// value; -1 when every one is integral.
+func (s *Solver) FirstFractional(vars []int) (int, Num) {
+	d, ok := s.delta()
+	for _, vi := range vars {
+		if v := s.modelValue(vi, d, ok); !v.isInt() {
+			return vi, Num{a: v.floor()}
+		}
+	}
+	return -1, Num{}
 }
 
 // VarNames returns the structural variable names known to the solver.
@@ -374,14 +513,4 @@ func (s *Solver) VarNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Value returns the current δ-rational value of a structural variable.
-func (s *Solver) Value(name string) (Num, bool) {
-	vi, ok := s.index[name]
-	if !ok {
-		return Zero(), false
-	}
-	s.computeBasics()
-	return s.beta[vi], true
 }

@@ -1,8 +1,10 @@
 package simplex
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"staub/internal/poly"
@@ -128,7 +130,7 @@ func TestConstantAtoms(t *testing.T) {
 func TestBoundsConflict(t *testing.T) {
 	s := New()
 	mustAdd(t, s, atom(poly.RelLe, -3, map[string]int64{"x": 1})) // x <= 3
-	s.AssertLower("x", big.NewRat(5, 1))
+	s.AssertLower(mustIndex(t, s, "x"), Int(5))
 	if got := s.Check(); got != Unsat {
 		t.Fatalf("Check() = %v, want Unsat", got)
 	}
@@ -139,7 +141,7 @@ func TestClone(t *testing.T) {
 	mustAdd(t, s, atom(poly.RelLe, -10, map[string]int64{"x": 1, "y": 1}))
 	mustAdd(t, s, atom(poly.RelLe, 0, map[string]int64{"y": -1})) // y >= 0
 	c := s.Clone()
-	c.AssertLower("x", big.NewRat(100, 1))
+	c.AssertLower(mustIndex(t, c, "x"), Int(100))
 	if got := c.Check(); got != Unsat {
 		t.Fatalf("clone Check() = %v, want Unsat", got)
 	}
@@ -210,4 +212,53 @@ func TestNumOrdering(t *testing.T) {
 	if got := b.Resolve(big.NewRat(1, 4)); got.Cmp(big.NewRat(3, 4)) != 0 {
 		t.Errorf("Resolve = %v, want 3/4", got)
 	}
+}
+
+// TestLargeCaseMemoryFollowsNonzeros loads a few thousand three-variable
+// atoms, checks them (with a pivot for every other atom), and clones the
+// solver as a deep branch-and-bound path would: the bytes allocated must
+// follow the variables and the tableau's nonzeros, not rows × variables
+// as a dense tableau's would (about 590 MB here).
+func TestLargeCaseMemoryFollowsNonzeros(t *testing.T) {
+	const n, clones = 3000, 50
+	atoms := make([]poly.Atom, n)
+	for i := range atoms {
+		// Each block of three variables carries two atoms:
+		// a + 2b − c ≥ 1, violated at 0 so that Check pivots, and
+		// a − b + c ≤ 10.
+		b := 3 * (i / 2)
+		x := func(j int) string { return fmt.Sprintf("x%d", b+j) }
+		if i%2 == 0 {
+			atoms[i] = atom(poly.RelLe, 1, map[string]int64{x(0): -1, x(1): -2, x(2): 1})
+		} else {
+			atoms[i] = atom(poly.RelLe, -10, map[string]int64{x(0): 1, x(1): -1, x(2): 1})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New()
+	for _, a := range atoms {
+		mustAdd(t, s, a)
+	}
+	if got := s.Check(); got != Sat {
+		t.Fatalf("Check() = %v, want Sat", got)
+	}
+	keep := make([]*Solver, clones)
+	for i := range keep {
+		keep[i] = s.Clone()
+	}
+	runtime.ReadMemStats(&after)
+	nonzeros := 0
+	for _, row := range s.rows {
+		nonzeros += len(row)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	// Per clone: a varState per variable, each row's entries and header;
+	// load and Check stay within a few clones' worth.
+	limit := uint64(clones+4) * uint64(200*len(s.vars)+64*nonzeros+32*len(s.rows))
+	t.Logf("%d rows, %d variables, %d nonzeros: %d bytes for load, Check and %d clones (limit %d)", len(s.rows), len(s.vars), nonzeros, bytes, clones, limit)
+	if bytes > limit {
+		t.Fatalf("allocated %d bytes, want ≤ %d", bytes, limit)
+	}
+	checkModel(t, keep[clones-1], atoms)
 }
